@@ -59,32 +59,6 @@ void BM_ClusteringScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusteringScaling)->Range(1 << 10, 1 << 17)->Complexity();
 
-void BM_ClusteringParallel(benchmark::State& state) {
-  // 64 edges worth of fragments clustered by `threads` workers.
-  const int threads = static_cast<int>(state.range(0));
-  core::Stg stg(core::StgMode::kContextFree);
-  util::Rng rng(3);
-  for (int e = 0; e < 64; ++e) {
-    auto k1 = stg.touch_vertex(invocation(static_cast<sim::CallSiteId>(2 * e)));
-    auto k2 = stg.touch_vertex(invocation(static_cast<sim::CallSiteId>(2 * e + 1)));
-    for (int i = 0; i < 2000; ++i) {
-      core::Fragment f;
-      f.kind = core::FragmentKind::kComputation;
-      f.from = k1;
-      f.to = k2;
-      f.end_time = 0.001;
-      f.counters[pmu::Counter::kTotIns] =
-          1e6 * (1 + (i % 4)) * rng.normal(1.0, 0.003);
-      stg.add_fragment(std::move(f));
-    }
-  }
-  for (auto _ : state) {
-    auto result = core::cluster_stg_parallel(stg, core::ClusterOptions{}, threads);
-    benchmark::DoNotOptimize(result.clusters.size());
-  }
-}
-BENCHMARK(BM_ClusteringParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_StgIngest(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

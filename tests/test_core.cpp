@@ -11,6 +11,7 @@
 #include "src/core/detection.hpp"
 #include "src/core/heatmap.hpp"
 #include "src/core/stg.hpp"
+#include "src/util/pipeline.hpp"
 #include "src/util/rng.hpp"
 
 namespace vapro::core {
@@ -218,7 +219,8 @@ TEST_F(ClusteringFixture, ParallelMatchesSerial) {
   for (int i = 0; i < 500; ++i)
     add_class(1, 1000 * (1 + (i % 7)), i % 7);
   auto serial = cluster_stg(stg_, ClusterOptions{});
-  auto parallel = cluster_stg_parallel(stg_, ClusterOptions{}, 4);
+  util::WorkerPool pool(4);
+  auto parallel = cluster_stg(stg_, ClusterOptions{}, &pool);
   ASSERT_EQ(serial.clusters.size(), parallel.clusters.size());
   for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
     EXPECT_EQ(serial.clusters[i].members, parallel.clusters[i].members);

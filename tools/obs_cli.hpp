@@ -41,20 +41,17 @@ namespace vapro::tools {
 //   --pipeline-depth=N     windows admitted past the hand-off before the
 //                          drain blocks (1 = synchronous, default)
 //   --analysis-threads=N   clustering worker threads per server
-//   --cluster-cache        carry cluster seeds across windows
 //
 // All combinations produce byte-identical reports and journal tables; see
 // docs/ARCHITECTURE.md "Threading & pipeline model".
 struct PipelineCli {
   int pipeline_depth = 1;
   int analysis_threads = 1;
-  bool cluster_seed_cache = false;
 
   // False (with a message on stderr) when a value is out of range.
   bool parse(const util::CliArgs& args) {
     pipeline_depth = args.get_int("pipeline-depth", 1);
     analysis_threads = args.get_int("analysis-threads", 1);
-    cluster_seed_cache = args.get_bool("cluster-cache");
     if (pipeline_depth < 1) {
       std::cerr << "--pipeline-depth must be >= 1\n";
       return false;
@@ -71,8 +68,7 @@ struct PipelineCli {
            "                         drain; N windows may be in flight\n"
            "                         (default 1 = synchronous; results are\n"
            "                         byte-identical at any depth)\n"
-           "  --analysis-threads=N   clustering worker threads (default 1)\n"
-           "  --cluster-cache        carry cluster seeds across windows\n";
+           "  --analysis-threads=N   clustering worker threads (default 1)\n";
   }
 };
 

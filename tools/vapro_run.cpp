@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
   if (!pipeline_cli.parse(args)) return 2;
   options.pipeline_depth = pipeline_cli.pipeline_depth;
   options.analysis_threads = pipeline_cli.analysis_threads;
-  options.cluster_seed_cache = pipeline_cli.cluster_seed_cache;
 
   // Self-telemetry: attach an ObsContext when any observability output is
   // requested; the default path keeps the library instrument-free.

@@ -22,10 +22,12 @@
 //   vapro_stress --seed 7 --rounds 5 --fault-plan plans/enospc.plan
 //
 // Exit code 0 = all invariants held, 1 = at least one violation (the
-// report says which round and which invariant).
+// report says which round and which invariant) or a site named in the
+// fault plan that never injected over the whole invocation.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -64,7 +66,8 @@ int usage() {
       "                     fault plan => byte-identical report\n"
       "  --rounds=N         scenarios to run (default 5)\n"
       "  --fault-plan=FILE  arm deterministic fault injection from FILE\n"
-      "                     (see docs/TESTING.md for the plan syntax)\n"
+      "                     (see docs/TESTING.md for the plan syntax);\n"
+      "                     fails if a site it names never fires\n"
       "  --scratch=DIR      journal scratch directory (default\n"
       "                     /tmp/vapro_stress; never printed, so two runs\n"
       "                     with different scratch dirs still compare equal)\n"
@@ -72,9 +75,8 @@ int usage() {
       "  --equivalence      serial/parallel equivalence property mode: run\n"
       "                     every round at --pipeline-depth=1\n"
       "                     --analysis-threads=1 and then across the full\n"
-      "                     depth {1,2} x threads {2,4,1} variant matrix\n"
-      "                     (cluster-seed cache flipping per round), and\n"
-      "                     byte-compare region tables, rare-path tables,\n"
+      "                     depth {1,2} x threads {2,4,1} variant matrix,\n"
+      "                     and byte-compare region tables, rare-path tables,\n"
       "                     journal-replay tables and the seq-normalized\n"
       "                     journal event stream against the serial base;\n"
       "                     two extra `soa` legs rebuild every window's\n"
@@ -303,7 +305,6 @@ const core::FragmentKind kKinds[3] = {core::FragmentKind::kComputation,
 struct PipeCfg {
   int depth = 1;
   int threads = 1;
-  bool cache = false;
   // SoA leg: rebuild every window's FragmentColumns through the
   // materialize/view shim before feeding the server — proves the columnar
   // conversion is lossless (artifacts byte-identical to the direct path).
@@ -378,8 +379,7 @@ RoundResult run_round(int round, std::uint64_t seed,
             << " dup=" << (sc.dup_prob > 0 ? 1 : 0)
             << " reorder=" << (sc.reorder ? 1 : 0)
             << " slow_rank=" << sc.slow_rank << " depth=" << cfg.depth
-            << " threads=" << cfg.threads << " cache=" << (cfg.cache ? 1 : 0)
-            << "\n";
+            << " threads=" << cfg.threads << "\n";
 
   // Virtual time: the whole round runs on a scripted clock, so stage
   // timings and window ages in the journal are deterministic too.
@@ -414,7 +414,6 @@ RoundResult run_round(int round, std::uint64_t seed,
   opts.run_diagnosis = false;  // diagnosis needs the simulator's noise model
   opts.analysis_threads = cfg.threads;
   opts.pipeline_depth = cfg.depth;
-  opts.cluster_seed_cache = cfg.cache;
   opts.obs = &ctx;
   opts.clock = &vclock;
 
@@ -1068,7 +1067,22 @@ int main(int argc, char** argv) {
   vapro::tools::PipelineCli pipeline_cli;
   if (!pipeline_cli.parse(args)) return 2;
 
+  // Per-site injection counts over the whole invocation.  The net and
+  // equivalence modes re-arm before every run, and arm() resets the
+  // injector's counts, so each re-arm first banks what the last run
+  // injected.
+  auto& injector = vapro::testing::FaultInjector::instance();
   vapro::testing::FaultPlan plan;
+  std::map<std::string, std::uint64_t> injected;
+  auto bank = [&] {
+    for (const auto& [site, count] : injector.injected_by_site())
+      injected[site] += count;
+  };
+  auto rearm = [&] {
+    if (plan_path.empty()) return;
+    bank();
+    injector.arm(plan);
+  };
   if (!plan_path.empty()) {
     std::string error;
     if (!vapro::testing::FaultPlan::parse_file(plan_path, &plan, &error)) {
@@ -1080,7 +1094,7 @@ int main(int argc, char** argv) {
                  "(configure with -DVAPRO_FAULT_INJECTION=ON)\n";
     return 2;
 #endif
-    vapro::testing::FaultInjector::instance().arm(plan);
+    injector.arm(plan);
   }
 
   std::cout << "vapro_stress seed=" << seed << " rounds=" << rounds
@@ -1094,8 +1108,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < rounds; ++r) {
       // Re-arm per round so every round observes the same per-site fault
       // sequence (the reference runs never touch net.* sites).
-      if (!plan_path.empty())
-        vapro::testing::FaultInjector::instance().arm(plan);
+      rearm();
       if (!run_net_round(r, seed, tenants, scratch, !plan_path.empty()))
         ++failed;
     }
@@ -1103,9 +1116,8 @@ int main(int argc, char** argv) {
     // The property: the same scenario produces byte-identical detection
     // artifacts for EVERY pipeline-depth x analysis-threads combination.
     // Each round runs the serial base (depth 1, 1 thread) and then the
-    // full variant matrix against it.  The seed cache flips per round, so
-    // over any two consecutive rounds the complete depth {1,2} x threads
-    // {1,2,4} x cache {off,on} grid is covered.  The two `soa` legs rebuild
+    // full variant matrix against it, so every round covers the complete
+    // depth {1,2} x threads {1,2,4} grid.  The two `soa` legs rebuild
     // every window's columns through the materialize/view shim
     // (rebuild_columns) — serially and at the widest pipeline point — so
     // the SoA layout's conversion surfaces are part of the same
@@ -1121,24 +1133,22 @@ int main(int argc, char** argv) {
         {2, 2, false, "d2t2"}, {2, 4, false, "d2t4"}, {1, 1, true, "soa"},
         {2, 4, true, "soa-d2t4"}};
     for (int r = 0; r < rounds; ++r) {
-      const bool cache = r % 2 == 1;
-      const PipeCfg serial{1, 1, cache};
+      const PipeCfg serial{1, 1};
       RoundArtifacts base;
       // Re-arm before each run so every variant sees the identical
       // per-site fault sequence (arm() resets every per-(site, rule)
       // counter).
-      if (!plan_path.empty()) vapro::testing::FaultInjector::instance().arm(plan);
+      rearm();
       RoundResult ra = run_round(r, seed, scratch, verbose, serial,
                                  "serial", &base);
       std::cout << ra.report.str();
       bool round_ok = ra.pass;
       std::size_t variants_ok = 0;
       for (const Variant& v : kVariants) {
-        const PipeCfg variant{v.depth, v.threads, cache, v.soa};
+        const PipeCfg variant{v.depth, v.threads, v.soa};
         const std::string tag = v.tag;
         RoundArtifacts b;
-        if (!plan_path.empty())
-          vapro::testing::FaultInjector::instance().arm(plan);
+        rearm();
         RoundResult rb = run_round(r, seed, scratch, verbose, variant, tag,
                                    &b);
         bool equal = true;
@@ -1180,8 +1190,7 @@ int main(int argc, char** argv) {
     }
   } else {
     const PipeCfg cfg{pipeline_cli.pipeline_depth,
-                      pipeline_cli.analysis_threads,
-                      pipeline_cli.cluster_seed_cache};
+                      pipeline_cli.analysis_threads};
     for (int r = 0; r < rounds; ++r) {
       RoundResult rr = run_round(r, seed, scratch, verbose, cfg,
                                  /*tag=*/"", /*art=*/nullptr);
@@ -1190,12 +1199,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto& injector = vapro::testing::FaultInjector::instance();
-  const auto by_site = injector.injected_by_site();
-  std::cout << "faults injected: " << injector.injected_total() << "\n";
-  for (const auto& [site, count] : by_site)
-    std::cout << "  " << site << ": " << count << "\n";
+  bank();
   injector.disarm();
+  std::uint64_t injected_total = 0;
+  for (const auto& [site, count] : injected) injected_total += count;
+  std::cout << "faults injected: " << injected_total << "\n";
+  for (const auto& [site, count] : injected)
+    std::cout << "  " << site << ": " << count << "\n";
+  // A plan line whose site never fired exercised nothing, so the plan
+  // claims coverage it does not have.
+  std::vector<std::string> silent_sites;
+  for (const vapro::testing::FaultRule& rule : plan.rules)
+    if (injected.count(rule.site) == 0 &&
+        std::find(silent_sites.begin(), silent_sites.end(), rule.site) ==
+            silent_sites.end())
+      silent_sites.push_back(rule.site);
+  for (const std::string& site : silent_sites)
+    std::cout << "  " << site << ": 0 (named in the fault plan, never fired)\n";
 
   if (failed > 0) {
     std::cout << "RESULT: FAIL (" << failed << "/" << rounds
@@ -1204,6 +1224,12 @@ int main(int argc, char** argv) {
                       ? std::string()
                       : " --fault-plan " + plan_path)
               << " to reproduce byte-identically)\n";
+    return 1;
+  }
+  if (!silent_sites.empty()) {
+    std::cout << "RESULT: FAIL (" << silent_sites.size()
+              << " fault-plan site(s) never fired; the plan does not"
+                 " exercise what it names)\n";
     return 1;
   }
   std::cout << "RESULT: PASS (" << rounds << "/" << rounds << " rounds)\n";
