@@ -1,7 +1,7 @@
 // Sustained throughput of the segmented journal store
-// (src/obs/journal_segment): events/sec written through the sink in both
-// framings (length+CRC binary vs JSONL debug), events/sec read back from a
-// rotated segment directory, on-disk bytes/event, and offline compaction
+// (src/obs/journal_segment): events/sec written through the sink,
+// events/sec read back from a rotated segment directory, on-disk
+// bytes/event split into JSON payload and framing, and offline compaction
 // rate.  The numbers bound how much conclusion traffic a production run
 // can journal inside the paper's <1% overhead budget (PAPER.md §1), and
 // BENCH_journal.json is the committed baseline successive commits diff
@@ -17,7 +17,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -76,38 +78,59 @@ void emit_mix(obs::Journal& journal, std::size_t events) {
   }
 }
 
-std::uintmax_t dir_bytes(const std::string& dir) {
+// On-disk size of a segment directory, and the part of it that is
+// per-segment preamble: the magic plus the framed schema header.
+struct DirBytes {
   std::uintmax_t total = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir))
-    if (entry.is_regular_file()) total += entry.file_size();
-  return total;
+  std::uintmax_t preamble = 0;
+};
+
+DirBytes dir_bytes(const std::string& dir) {
+  DirBytes out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const obs::DecodedRecords records = obs::decode_records(bytes, false);
+    if (!records.ok || records.payloads.empty()) {
+      std::cerr << "undecodable segment " << entry.path() << ": "
+                << records.error << "\n";
+      std::exit(1);
+    }
+    out.total += bytes.size();
+    out.preamble += sizeof(obs::kJournalMagic) +
+                    obs::encode_record(records.payloads.front()).size();
+  }
+  return out;
 }
 
-struct FramingResult {
+struct RunResult {
   std::vector<double> write_eps;
   std::vector<double> read_eps;
   double bytes_per_event = 0.0;
+  double payload_bytes_per_event = 0.0;  // to_json_line() text alone
+  double header_bytes_per_event = 0.0;   // per-segment preamble, amortized
   std::size_t segments = 0;
   std::string last_dir;
 };
 
-FramingResult run_framing(const std::string& scratch, bool binary) {
-  FramingResult res;
+RunResult run_store(const std::string& scratch) {
+  RunResult res;
   for (int rep = 0; rep < kReps; ++rep) {
-    const std::string dir = scratch + "/" + (binary ? "bin" : "jsonl") + "-" +
-                            std::to_string(rep);
+    const std::string dir = scratch + "/run-" + std::to_string(rep);
     std::filesystem::remove_all(dir);
     obs::SegmentOptions seg;
     seg.directory = dir;
     seg.max_segment_bytes = 1u << 20;  // rotation is part of the cost
-    seg.binary = binary;
 
     const auto t0 = std::chrono::steady_clock::now();
     {
       obs::Journal journal;
       obs::JournalSegmentSink sink(seg);
       if (!sink.ok()) {
-        std::cerr << "cannot create segment dir " << dir << "\n";
+        std::cerr << "cannot create segment dir " << dir << ": "
+                  << sink.error() << "\n";
         std::exit(1);
       }
       journal.add_sink(&sink);
@@ -125,8 +148,14 @@ FramingResult run_framing(const std::string& scratch, bool binary) {
       std::exit(1);
     }
     res.read_eps.push_back(static_cast<double>(kEvents) / seconds_since(t1));
-    res.bytes_per_event =
-        static_cast<double>(dir_bytes(dir)) / static_cast<double>(kEvents);
+    std::uintmax_t payload = 0;
+    for (const obs::JournalEvent& ev : read.events)
+      payload += ev.to_json_line().size();
+    const DirBytes bytes = dir_bytes(dir);
+    const double n = static_cast<double>(kEvents);
+    res.bytes_per_event = static_cast<double>(bytes.total) / n;
+    res.payload_bytes_per_event = static_cast<double>(payload) / n;
+    res.header_bytes_per_event = static_cast<double>(bytes.preamble) / n;
     res.last_dir = dir;
   }
   return res;
@@ -144,10 +173,9 @@ int main(int argc, char** argv) {
   const std::string scratch = "/tmp/vapro_journal_bench";
   std::filesystem::remove_all(scratch);
 
-  const FramingResult jsonl = run_framing(scratch, /*binary=*/false);
-  const FramingResult binary = run_framing(scratch, /*binary=*/true);
+  const RunResult store = run_store(scratch);
 
-  // Offline compaction over the binary directory of the last rep: the
+  // Offline compaction over the directory of the last rep: the
   // event mix leaves one live region sweep + one live quality snapshot,
   // so most of the stream is superseded.
   std::vector<double> compact_eps;
@@ -158,7 +186,7 @@ int main(int argc, char** argv) {
     obs::CompactionStats stats;
     std::string error;
     const auto t0 = std::chrono::steady_clock::now();
-    if (!obs::compact_journal(binary.last_dir, out, &stats, &error)) {
+    if (!obs::compact_journal(store.last_dir, out, &stats, &error)) {
       std::cerr << "compaction failed: " << error << "\n";
       return 1;
     }
@@ -174,28 +202,28 @@ int main(int argc, char** argv) {
     table.add_row({name, util::fmt(bench::percentile(s, 0.5), precision),
                    util::fmt(bench::percentile(s, 0.95), precision)});
   };
-  add("jsonl_write_events_per_sec", jsonl.write_eps, 0);
-  add("binary_write_events_per_sec", binary.write_eps, 0);
-  add("jsonl_read_events_per_sec", jsonl.read_eps, 0);
-  add("binary_read_events_per_sec", binary.read_eps, 0);
-  add("jsonl_bytes_per_event", {jsonl.bytes_per_event}, 1);
-  add("binary_bytes_per_event", {binary.bytes_per_event}, 1);
-  add("segments_per_run", {static_cast<double>(binary.segments)}, 0);
+  add("write_events_per_sec", store.write_eps, 0);
+  add("read_events_per_sec", store.read_eps, 0);
+  add("bytes_per_event", {store.bytes_per_event}, 1);
+  add("payload_bytes_per_event", {store.payload_bytes_per_event}, 1);
+  add("header_bytes_per_event", {store.header_bytes_per_event}, 3);
+  add("segments_per_run", {static_cast<double>(store.segments)}, 0);
   add("compact_events_per_sec", compact_eps, 0);
   add("compact_drop_ratio", {drop_ratio}, 3);
   table.print(std::cout);
 
   // Sanity bars (loose: this is a baseline recorder, not a perf gate — the
-  // committed JSON diff is the regression signal).  The binary frame is
-  // len+CRC (8 bytes) where JSONL spends a newline (1), so integrity
-  // costs exactly 7 bytes/event plus the amortized per-segment magic;
-  // anything beyond 8 means the framing grew.  And compaction must
-  // actually drop superseded events.
-  if (binary.bytes_per_event > jsonl.bytes_per_event + 8.0) {
-    std::cout << "BAR FAILED: binary framing overhead exceeds its 8-byte "
-                 "header ("
-              << binary.bytes_per_event << " vs " << jsonl.bytes_per_event
-              << " bytes/event)\n";
+  // committed JSON diff is the regression signal).  Each record is its
+  // JSON payload plus an 8-byte len+CRC frame header, and each segment
+  // adds its magic and framed schema header; any byte beyond that means
+  // the framing grew.  And compaction must actually drop superseded
+  // events.
+  const double framing = store.bytes_per_event - store.payload_bytes_per_event;
+  if (framing > 8.0 + store.header_bytes_per_event + 1e-9) {
+    std::cout << "BAR FAILED: framing costs " << framing
+              << " bytes/event, more than its 8-byte frame header + "
+              << store.header_bytes_per_event
+              << " bytes/event of segment preamble\n";
     return 1;
   }
   if (drop_ratio <= 0.5) {
@@ -203,8 +231,10 @@ int main(int argc, char** argv) {
               << "% of a mostly-superseded stream\n";
     return 1;
   }
-  std::cout << "bars OK: binary framing overhead <= 8 bytes/event, "
-               "compaction drops "
+  std::cout << "bars OK: framing overhead "
+            << util::fmt(framing, 3) << " bytes/event (8 + "
+            << util::fmt(store.header_bytes_per_event, 3)
+            << " preamble), compaction drops "
             << util::fmt(drop_ratio * 100, 1) << "% of the mix\n";
   return report.write() ? 0 : 1;
 }

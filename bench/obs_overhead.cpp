@@ -1,6 +1,6 @@
 // Self-telemetry cost: the same run with the obs subsystem detached vs
-// attached (metrics + PipelineStats + Chrome trace + JSONL event journal
-// + live HTTP exposition + overhead accounting).
+// attached (metrics + PipelineStats + Chrome trace + segmented event
+// journal + live HTTP exposition + overhead accounting).
 //
 // Guards the BENCH trajectory: the acceptance bar for the observability PR
 // is < 3% relative end-to-end overhead, i.e. watching the tool must stay
@@ -9,6 +9,7 @@
 // telemetry overhead, and the accountant's own tool-time split.
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <vector>
 
@@ -42,10 +43,15 @@ double run_once(bool with_obs, ModeResult* out) {
   opts.window_seconds = 0.1;
   if (with_obs) {
     // The full surface the acceptance bar covers: metrics + trace +
-    // journal (to a real file) + live HTTP exposition all enabled.
+    // journal (to real segment files) + live HTTP exposition all enabled.
+    // Segments are never overwritten, so every run starts from an empty
+    // directory.
     opts.obs = &ctx;
     ctx.enable_trace();
-    ctx.attach_journal_file("/tmp/vapro_obs_overhead_journal.jsonl");
+    obs::SegmentOptions seg;
+    seg.directory = "/tmp/vapro_obs_overhead_journal";
+    std::filesystem::remove_all(seg.directory);
+    ctx.attach_journal_segments(std::move(seg));
     ctx.start_exposition(0);
   }
   core::VaproSession session(simulator, opts);

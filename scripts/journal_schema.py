@@ -3,14 +3,15 @@
 
 Checks the journal_throughput bench output (bench::JsonReport shape) for
 the series the segmented journal store promises: write and read
-events/sec for both framings (JSONL debug, length+CRC binary), on-disk
-bytes/event for both, segment count, and the offline-compaction rate and
-drop ratio.  Values must be finite and non-negative, the throughput
-series must share one rep count, the binary framing's per-event overhead
-over JSONL must stay within its 8-byte header, and the drop ratio must
-sit in (0.5, 1] — the bench's event mix is mostly superseded by
-construction, so a lower ratio means compaction stopped recognizing
-supersession.
+events/sec, on-disk bytes/event with its JSON-payload and per-segment
+header parts, segment count, and the offline-compaction rate and drop
+ratio.  Values must be finite and non-negative, the throughput series
+must share one rep count, the framing must cost no more than its 8-byte
+len+CRC frame header per event plus the amortized per-segment header
+(bytes/event - payload bytes/event <= 8 + header bytes/event), and the
+drop ratio must sit in (0.5, 1] — the bench's event mix is mostly
+superseded by construction, so a lower ratio means compaction stopped
+recognizing supersession.
 
 Usage:
   scripts/journal_schema.py BENCH_journal.json
@@ -22,11 +23,11 @@ import json
 import math
 import sys
 
-THROUGHPUT = ("jsonl_write_events_per_sec", "binary_write_events_per_sec",
-              "jsonl_read_events_per_sec", "binary_read_events_per_sec",
+THROUGHPUT = ("write_events_per_sec", "read_events_per_sec",
               "compact_events_per_sec")
-SINGLETONS = ("jsonl_bytes_per_event", "binary_bytes_per_event",
-              "segments_per_run", "compact_drop_ratio")
+SINGLETONS = ("bytes_per_event", "payload_bytes_per_event",
+              "header_bytes_per_event", "segments_per_run",
+              "compact_drop_ratio")
 
 
 def main():
@@ -77,11 +78,13 @@ def main():
             errors.append(f"missing series {series}")
 
     if not errors:
-        jsonl = rows["jsonl_bytes_per_event"]["median"]
-        binary = rows["binary_bytes_per_event"]["median"]
-        if binary > jsonl + 8.0:
-            errors.append(f"binary framing overhead {binary - jsonl:.2f} "
-                          "bytes/event exceeds its 8-byte header")
+        framing = (rows["bytes_per_event"]["median"] -
+                   rows["payload_bytes_per_event"]["median"])
+        header = rows["header_bytes_per_event"]["median"]
+        if framing > 8.0 + header + 1e-9:
+            errors.append(f"framing overhead {framing:.3f} bytes/event "
+                          f"exceeds its 8-byte frame header + {header:.3f} "
+                          "bytes/event of segment header")
         drop = rows["compact_drop_ratio"]["median"]
         if not 0.5 < drop <= 1.0:
             errors.append(f"compact_drop_ratio {drop!r} outside (0.5, 1]: "

@@ -13,11 +13,10 @@ namespace vapro::obs {
 ObsContext::~ObsContext() {
   // Stop serving before any member the route handlers might read dies.
   if (exposition_) exposition_->stop();
-  // Flush only the file sink the context owns: borrowed sinks (alert
+  // Flush only the segment sink the context owns: borrowed sinks (alert
   // engines, test collectors) are routinely declared after the context and
   // are already gone by now — fanning out through the journal here would
   // call through their dead vptrs.
-  if (journal_file_) journal_file_->flush();
   if (journal_segments_) journal_segments_->flush();
 }
 
@@ -31,19 +30,14 @@ Journal* ObsContext::enable_journal() {
   return journal_.get();
 }
 
-bool ObsContext::attach_journal_file(const std::string& path) {
-  Journal* journal = enable_journal();
-  auto sink = std::make_unique<JournalFileSink>(path);
-  if (!sink->ok()) return false;
-  journal_file_ = std::move(sink);
-  journal->add_sink(journal_file_.get());
-  return true;
-}
-
-bool ObsContext::attach_journal_segments(SegmentOptions options) {
+bool ObsContext::attach_journal_segments(SegmentOptions options,
+                                         std::string* error) {
   Journal* journal = enable_journal();
   auto sink = std::make_unique<JournalSegmentSink>(std::move(options));
-  if (!sink->ok()) return false;
+  if (!sink->ok()) {
+    if (error) *error = sink->error();
+    return false;
+  }
   journal_segments_ = std::move(sink);
   journal->add_sink(journal_segments_.get());
   return true;
@@ -138,7 +132,7 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
   // Readiness, distinct from liveness: /healthz answers "is the process
   // up", /readyz answers "should this instance take more traffic".  503
   // while the ingest plane is shedding (vapro.net.degraded), while the
-  // admission queues are saturated, or after the journal file has gone
+  // admission queues are saturated, or after the journal writer has gone
   // unwritable — a load balancer drains the instance while detection keeps
   // running on what was already admitted.  Find, don't create: a process
   // without an ingest plane must not fail readiness over absent gauges.
@@ -153,7 +147,7 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
     const Gauge* capacity = metrics_.find_gauge("vapro.net.queue_capacity");
     if (depth && capacity && capacity->value() > 0.0)
       saturated = depth->value() >= capacity->value();
-    const bool journal_ok = !journal_file_ || journal_file_->ok();
+    const bool journal_ok = !journal_segments_ || journal_segments_->ok();
     const bool ready = !degraded && !saturated && journal_ok;
     resp.status = ready ? 200 : 503;
     std::ostringstream body;

@@ -3,7 +3,8 @@
 // Owns the metrics registry, the self-overhead accountant, an always-on
 // CollectingSink of per-window PipelineStats, optional extra sinks, an
 // optional Chrome trace recorder (off until enable_trace()), an optional
-// event journal (off until enable_journal()), and an optional embedded
+// event journal (off until enable_journal(); attach_journal_segments()
+// also writes it to a segment directory), and an optional embedded
 // HTTP exposition server (off until start_exposition()).  Core code takes
 // a borrowed `ObsContext*` through its options structs; a null pointer
 // disables all telemetry at the cost of one branch per call site, so the
@@ -45,13 +46,13 @@ class ObsContext {
   Journal* journal() { return journal_.get(); }
   const Journal* journal() const { return journal_.get(); }
   Journal* enable_journal();
-  // enable_journal() + attach an owned JSONL file sink (parent directories
-  // are created).  False when the file cannot be opened.
-  bool attach_journal_file(const std::string& path);
   // enable_journal() + attach an owned rotating segment-directory sink
-  // (src/obs/journal_segment.hpp).  False when the first segment cannot
-  // be created.
-  bool attach_journal_segments(SegmentOptions options);
+  // (src/obs/journal_segment.hpp), the one way a journal reaches disk.
+  // False when the first segment cannot be created — including when the
+  // directory already holds an earlier run's journal — with the reason in
+  // `error` when non-null.
+  bool attach_journal_segments(SegmentOptions options,
+                               std::string* error = nullptr);
   // The owned segment sink, if attach_journal_segments succeeded.
   JournalSegmentSink* journal_segments() { return journal_segments_.get(); }
 
@@ -103,7 +104,6 @@ class ObsContext {
   std::vector<PipelineSink*> extra_sinks_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<Journal> journal_;
-  std::unique_ptr<JournalFileSink> journal_file_;
   std::unique_ptr<JournalSegmentSink> journal_segments_;
   std::unique_ptr<ExpositionServer> exposition_;
   std::mutex emit_mu_;

@@ -1,12 +1,14 @@
-// Schema-versioned JSONL event journal — Vapro's machine-readable record
-// of *what it concluded*, not just what it measured.
+// Schema-versioned event journal — Vapro's machine-readable record of
+// *what it concluded*, not just what it measured.
 //
-// One line per event: variance regions located, rare-path findings,
-// progressive-diagnosis verdicts, PMU reprograms, per-window detection
-// health, and fired alerts.  Events carry monotonic sequence numbers so a
-// consumer can detect truncation; the first line of a journal file is a
-// header object naming the schema ("vapro.journal") and its version, and
-// the reader rejects any mismatch instead of guessing.
+// One flat JSON object per event: variance regions located, rare-path
+// findings, progressive-diagnosis verdicts, PMU reprograms, per-window
+// detection health, and fired alerts.  Events carry monotonic sequence
+// numbers so a consumer can detect truncation; the first record of a
+// journal file is a header object naming the schema ("vapro.journal") and
+// its version, and the reader rejects any mismatch instead of guessing.
+// On disk every record is a CRC-checked frame in a segment file — see
+// src/obs/journal_segment.hpp, the one writer, framing and file layout.
 //
 // Field values are serialized exactly once, at emission (numbers via
 // %.17g so doubles round-trip bit-exactly); the reader preserves the raw
@@ -14,17 +16,16 @@
 // and lets `vapro_replay --from-journal` reproduce the original run's
 // detection/diagnosis summaries character for character.
 //
-// Sinks observe the event stream live: JournalFileSink appends JSONL
-// (flushed on every window boundary by ObsContext), and the alert engine
-// (alerts.hpp) subscribes as just another sink.  Emission from inside a
-// sink callback (e.g. an alert recording itself as an event) is legal —
-// the journal queues re-entrant events and drains them after the current
-// dispatch, preserving sequence order without recursive locking.
+// Sinks observe the event stream live: JournalSegmentSink writes the
+// segment directory (flushed on every window boundary by ObsContext), and
+// the alert engine (alerts.hpp) subscribes as just another sink.  Emission
+// from inside a sink callback (e.g. an alert recording itself as an event)
+// is legal — the journal queues re-entrant events and drains them after
+// the current dispatch, preserving sequence order without recursive
+// locking.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -115,76 +116,21 @@ class Journal {
   std::vector<JournalSink*> sinks_;
 };
 
-// Appends events as JSONL; writes the schema header line on open and
-// creates missing parent directories instead of failing.
-//
-// Crash durability: a writer killed mid-line leaves a torn final line.
-// Opening the same path in kAppend mode recovers — the partial tail is
-// truncated away and appending resumes after the last complete line (the
-// header is only written when the file is new/empty).  rotate() makes the
-// finished segment durable (flush + fsync) before switching to a fresh
-// file, so a rotation boundary never loses acknowledged events.
-//
-// Fault sites (src/testing): "journal.write" honors short_write (torn
-// line, sink stops as a crashed writer would) and fail (ENOSPC: the line
-// is dropped and counted, seq numbers keep a gap); "journal.rotate"
-// honors fail (the new segment cannot be created; the old file stays
-// active and rotate() returns false).
-class JournalFileSink final : public JournalSink {
- public:
-  enum class OpenMode {
-    kTruncate,  // fresh file, write the schema header
-    kAppend,    // reopen: recover a torn tail, append after the last line
-  };
-
-  explicit JournalFileSink(const std::string& path,
-                           OpenMode mode = OpenMode::kTruncate);
-  ~JournalFileSink() override;
-  bool ok() const { return ok_; }
-  const std::string& path() const { return path_; }
-
-  // Flushes + fsyncs the current segment, then starts a fresh file at
-  // `new_path` (with a new header).  On failure the current segment stays
-  // active and false is returned.
-  bool rotate(const std::string& new_path);
-
-  std::uint64_t lines_written() const { return lines_written_; }
-  // Writes dropped or torn by injected/real write errors.
-  std::uint64_t write_faults() const { return write_faults_; }
-  // Bytes of torn final line discarded by kAppend recovery (0 = clean).
-  std::uint64_t recovered_tail_bytes() const { return recovered_tail_bytes_; }
-
-  void on_event(const JournalEvent& event) override;
-  void flush() override;
-
- private:
-  bool open_file(const std::string& path, OpenMode mode);
-  void sync_locked();
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  bool ok_ = false;
-  std::uint64_t lines_written_ = 0;
-  std::uint64_t write_faults_ = 0;
-  std::uint64_t recovered_tail_bytes_ = 0;
-  std::mutex mu_;
-};
-
 // --- reader API -----------------------------------------------------------
 
 struct JournalReadOptions {
-  // A writer killed mid-line leaves a torn final line.  With this set the
-  // reader accepts such a journal: the unparseable FINAL line is dropped,
+  // A writer killed mid-write leaves a torn final frame.  With this set the
+  // reader accepts such a journal: the incomplete FINAL frame is dropped,
   // every complete event before it is returned, and `truncated_tail` is
-  // reported.  Corruption anywhere but the final line stays fatal.
+  // reported.  A CRC or parse failure in any complete frame stays fatal.
   bool recover_truncated_tail = false;
 };
 
 struct JournalReadResult {
   bool ok = false;
   std::string error;            // set when !ok (schema mismatch, bad JSON…)
-  int schema_version = 0;       // from the header line
-  bool truncated_tail = false;  // a torn final line/frame was dropped
+  int schema_version = 0;       // from the header record
+  bool truncated_tail = false;  // a torn final frame was dropped
   // Events removed by offline compaction, from the `dropped_events` header
   // field (summed across segments).  Replay adds them back into its event
   // count so a compacted journal renders identically to the original.
@@ -193,19 +139,15 @@ struct JournalReadResult {
   std::vector<JournalEvent> events;
 };
 
-// Parses a journal file/stream.  Fails (ok=false) on: missing or malformed
-// header, schema name/version mismatch, a line that is not a flat JSON
-// object of scalars, or a non-monotonic sequence number.  Sequence numbers
-// may be sparse (a writer may drop lines on ENOSPC) but never reorder.
-//
-// Both journal formats are accepted: JSONL (first byte '{') and the
-// length-prefixed binary segment framing from src/obs/journal_segment.hpp
-// (first bytes "VJS1") — the reader auto-detects.  When `path` names a
-// directory, the call forwards to read_journal_dir (all segments, one
-// stream).
+// Reads one framed journal file (src/obs/journal_segment.hpp).  Fails
+// (ok=false) on: a missing "VJS1" magic, a torn or CRC-mismatched frame,
+// a missing or malformed header, a schema name/version mismatch, a payload
+// that is not a flat JSON object of scalars, or a non-monotonic sequence
+// number.  Sequence numbers may be sparse (a writer may drop records on
+// ENOSPC) but never reorder.  When `path` names a directory, the call
+// forwards to read_journal_dir (all segments, one stream).
 JournalReadResult read_journal(const std::string& path,
                                JournalReadOptions opts = {});
-JournalReadResult parse_journal(std::istream& in, JournalReadOptions opts = {});
 
 // JSON string escaping shared by journal/exposition/alert serializers.
 std::string journal_json_escape(const std::string& s);

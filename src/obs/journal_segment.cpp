@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -27,18 +28,6 @@ void store_le32(std::uint32_t v, std::string* out) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
-// One on-disk record for `payload` (a JSON line without its newline):
-// framed with length+CRC in binary mode, newline-terminated in JSONL mode.
-std::string encode_record(const std::string& payload, bool binary) {
-  if (!binary) return payload + '\n';
-  std::string out;
-  out.reserve(payload.size() + 8);
-  store_le32(static_cast<std::uint32_t>(payload.size()), &out);
-  store_le32(util::crc32(payload.data(), payload.size()), &out);
-  out += payload;
-  return out;
-}
-
 std::string header_payload(std::uint64_t dropped_events) {
   std::ostringstream oss;
   oss << "{\"type\":\"journal_header\",\"schema\":\"" << kJournalSchemaName
@@ -49,16 +38,92 @@ std::string header_payload(std::uint64_t dropped_events) {
 }
 
 bool is_segment_name(const std::string& name) {
-  if (name.rfind("journal-", 0) != 0) return false;
-  return name.size() > 6 && (name.ends_with(".vjseg") || name.ends_with(".jsonl"));
+  return name.starts_with("journal-") && name.ends_with(".vjseg");
+}
+
+std::uint32_t load_le32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint32_t>(b[0]) |
+         (static_cast<std::uint32_t>(b[1]) << 8) |
+         (static_cast<std::uint32_t>(b[2]) << 16) |
+         (static_cast<std::uint32_t>(b[3]) << 24);
+}
+
+// A frame longer than this is corruption, not data — no journal event
+// approaches it, and trusting a garbage length would make a flipped bit
+// swallow the rest of the file as "torn tail".
+constexpr std::uint32_t kMaxFramePayload = 1u << 24;
+
+// Magic plus the framed schema header: the first bytes of every file.
+std::string file_preamble(std::uint64_t dropped_events) {
+  return std::string(kJournalMagic, sizeof(kJournalMagic)) +
+         encode_record(header_payload(dropped_events));
 }
 
 }  // namespace
 
-std::string journal_segment_name(std::size_t index, bool binary) {
+std::string encode_record(const std::string& payload) {
+  std::string out;
+  out.reserve(payload.size() + 8);
+  store_le32(static_cast<std::uint32_t>(payload.size()), &out);
+  store_le32(util::crc32(payload.data(), payload.size()), &out);
+  out += payload;
+  return out;
+}
+
+DecodedRecords decode_records(const std::string& bytes,
+                              bool recover_truncated_tail) {
+  DecodedRecords out;
+  if (bytes.size() < sizeof(kJournalMagic) ||
+      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
+    out.error = "missing VJS1 magic: not a framed vapro journal segment";
+    return out;
+  }
+  std::size_t pos = sizeof(kJournalMagic);
+  std::size_t frame_no = 0;
+  while (pos < bytes.size()) {
+    ++frame_no;
+    // A complete frame needs its 8-byte header plus the payload; anything
+    // shorter at EOF is a torn write from a killed writer.
+    if (bytes.size() - pos < 8) {
+      if (recover_truncated_tail) {
+        out.torn_tail = true;
+        break;
+      }
+      out.error = "torn frame header at byte " + std::to_string(pos);
+      return out;
+    }
+    const std::uint32_t len = load_le32(bytes.data() + pos);
+    const std::uint32_t crc = load_le32(bytes.data() + pos + 4);
+    if (len > kMaxFramePayload) {
+      out.error = "frame " + std::to_string(frame_no) +
+                  ": implausible payload length " + std::to_string(len);
+      return out;
+    }
+    if (bytes.size() - pos - 8 < len) {
+      if (recover_truncated_tail) {
+        out.torn_tail = true;
+        break;
+      }
+      out.error = "torn frame payload at byte " + std::to_string(pos);
+      return out;
+    }
+    // CRC failure on a *complete* frame is corruption (a torn write can
+    // only truncate the file), so it is fatal even under recovery.
+    if (util::crc32(bytes.data() + pos + 8, len) != crc) {
+      out.error = "frame " + std::to_string(frame_no) + ": CRC mismatch";
+      return out;
+    }
+    out.payloads.emplace_back(bytes, pos + 8, len);
+    pos += 8 + static_cast<std::size_t>(len);
+  }
+  out.ok = true;
+  return out;
+}
+
+std::string journal_segment_name(std::size_t index) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "journal-%06zu.%s", index,
-                binary ? "vjseg" : "jsonl");
+  std::snprintf(buf, sizeof(buf), "journal-%06zu.vjseg", index);
   return buf;
 }
 
@@ -91,19 +156,24 @@ std::size_t JournalSegmentSink::segments_opened() const {
 
 bool JournalSegmentSink::open_segment_locked() {
   const std::string path =
-      options_.directory + "/" +
-      journal_segment_name(paths_.size(), options_.binary);
+      options_.directory + "/" + journal_segment_name(paths_.size());
   // ensure_parent_dirs creates everything above the file — which is the
   // segment directory itself.
   util::ensure_parent_dirs(path);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  std::string bytes;
-  if (options_.binary)
-    bytes.assign(kJournalBinaryMagic, sizeof(kJournalBinaryMagic));
-  bytes += encode_record(header_payload(0), options_.binary);
+  // "x": exclusive create.  A segment left by an earlier run is never
+  // overwritten, so two runs cannot end up spliced into one stream.
+  std::FILE* f = std::fopen(path.c_str(), "wbx");
+  if (!f) {
+    error_ = errno == EEXIST
+                 ? path + " already exists (a journal from an earlier run); "
+                          "remove it or choose an empty directory"
+                 : "cannot create " + path + ": " + std::strerror(errno);
+    return false;
+  }
+  const std::string bytes = file_preamble(0);
   if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
     std::fclose(f);
+    error_ = "short write to " + path;
     return false;
   }
   if (file_) std::fclose(file_);
@@ -137,8 +207,7 @@ bool JournalSegmentSink::should_rotate_locked(std::size_t record_bytes,
 void JournalSegmentSink::on_event(const JournalEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
-  const std::string record =
-      encode_record(event.to_json_line(), options_.binary);
+  const std::string record = encode_record(event.to_json_line());
   if (should_rotate_locked(record.size(), event.virtual_time)) {
     // The finished segment must be durable before the switch; on rotation
     // failure the active segment simply keeps growing and the next write
@@ -241,17 +310,14 @@ JournalReadResult read_journal_dir(const std::string& directory,
 bool write_journal_file(const std::string& path,
                         const std::vector<JournalEvent>& events,
                         std::uint64_t dropped_events, std::string* error) {
-  const bool binary = path.ends_with(".vjseg");
   util::ensure_parent_dirs(path);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     if (error) *error = "cannot open " + path + " for writing";
     return false;
   }
-  if (binary) out.write(kJournalBinaryMagic, sizeof(kJournalBinaryMagic));
-  out << encode_record(header_payload(dropped_events), binary);
-  for (const JournalEvent& ev : events)
-    out << encode_record(ev.to_json_line(), binary);
+  out << file_preamble(dropped_events);
+  for (const JournalEvent& ev : events) out << encode_record(ev.to_json_line());
   out.flush();
   if (!out) {
     if (error) *error = "short write to " + path;

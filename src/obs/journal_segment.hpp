@@ -1,39 +1,34 @@
-// Segmented journal store — the production-run shape of the event journal.
+// Segmented journal store — the one on-disk shape of the event journal.
 //
-// A single ever-growing JSONL file is fine for a test run; a long-lived
-// daemon needs bounded segments it can rotate, ship, and compact.  The
-// JournalSegmentSink writes a directory of segments
+// A long-lived daemon needs bounded segments it can rotate, ship, and
+// compact, so the journal is always a directory of segments
 //
 //   journal-000000.vjseg, journal-000001.vjseg, ...
 //
 // rotating on size (`max_segment_bytes`) and/or event age
 // (`max_segment_seconds`, measured in virtual time so tests are
-// deterministic).  Each segment is self-describing: record 0 is the same
-// schema header line a JSONL journal carries, so any segment can be read
-// alone and a directory can be read as one stream.
-//
-// The default framing is binary: the file opens with the magic "VJS1" and
-// every record is
+// deterministic).  Each segment is self-describing: it opens with the
+// magic "VJS1" and its record 0 is the schema header, so any segment can
+// be read alone and a directory can be read as one stream.  Every record
+// is
 //
 //   u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
 //
-// where the payload is the event's JSON line text without the trailing
-// newline — the same bytes the JSONL sink would write, so the two formats
-// are interconvertible and `read_journal` auto-detects which one it was
-// handed (a JSONL file starts with '{', never 'V').  The CRC is the same
-// CRC-32/IEEE the wire codec uses (util::crc32); a torn final frame (a
-// writer killed mid-write) is recoverable exactly like a torn JSONL line,
-// while a CRC mismatch anywhere before the tail stays fatal — that is
-// corruption, not a crash.
+// where the payload is the event's JSON object text
+// (JournalEvent::to_json_line()).  The CRC is the same CRC-32/IEEE the
+// wire codec uses (util::crc32); a torn final frame (a writer killed
+// mid-write) is recoverable, while a CRC mismatch anywhere before the tail
+// stays fatal — that is corruption, not a crash.
 //
-// JSONL segments (`binary = false`) remain available as a debug sink:
-// human-greppable, byte-identical payloads, same rotation rules.
+// A sink never writes over an existing segment: segment files are created
+// exclusively, so pointing a new run at a directory an earlier run left
+// behind fails at open instead of splicing two runs into one stream.
 //
-// Fault sites mirror JournalFileSink: "journal.write" honors short_write
-// (torn frame/line, the sink goes quiet like a crashed writer) and fail
-// (ENOSPC: the record is dropped and counted, seq numbers keep a gap);
-// "journal.rotate" honors fail (the new segment cannot be created; the
-// current segment stays active and rotation is retried on a later write).
+// Fault sites: "journal.write" honors short_write (torn frame, the sink
+// goes quiet like a crashed writer) and fail (ENOSPC: the record is
+// dropped and counted, seq numbers keep a gap); "journal.rotate" honors
+// fail (the new segment cannot be created; the current segment stays
+// active and rotation is retried on a later write).
 //
 // Offline compaction (`compact_journal`) drops events that replay can no
 // longer observe — variance_region/variance_clear snapshots below the
@@ -55,32 +50,56 @@
 
 namespace vapro::obs {
 
-// First four bytes of a binary segment.  'V' (0x56) can never begin a
-// JSONL journal (those start with the header object's '{'), so one byte
-// is enough to tell the formats apart.
-inline constexpr char kJournalBinaryMagic[4] = {'V', 'J', 'S', '1'};
+// First four bytes of every journal file.
+inline constexpr char kJournalMagic[4] = {'V', 'J', 'S', '1'};
 
-// Segment file name for index `i`: "journal-%06d.vjseg" (binary) or
-// "journal-%06d.jsonl" (debug JSONL).
-std::string journal_segment_name(std::size_t index, bool binary);
+// One framed record for `payload` (a JSON object without a newline):
+// u32 length | u32 crc32 | payload, little-endian.
+std::string encode_record(const std::string& payload);
+
+// The inverse over a whole journal file: checks the magic, every frame's
+// length and CRC, and returns the payloads in order.  A frame cut short
+// by the end of the file is an error, or — with recover_truncated_tail —
+// dropped and reported as `torn_tail`; a CRC mismatch on a complete frame
+// is always an error.
+struct DecodedRecords {
+  bool ok = false;
+  std::string error;  // set when !ok
+  std::vector<std::string> payloads;
+  bool torn_tail = false;
+};
+DecodedRecords decode_records(const std::string& bytes,
+                              bool recover_truncated_tail);
+
+// Segment file name for index `i`: "journal-%06d.vjseg".
+std::string journal_segment_name(std::size_t index);
 
 struct SegmentOptions {
   std::string directory;             // created if missing
   std::uint64_t max_segment_bytes = 0;  // 0 = never rotate on size
   double max_segment_seconds = 0.0;     // 0 = never rotate on event age
-  bool binary = true;                   // false: JSONL debug segments
 };
 
-// Journal sink writing rotating segments into a directory.  Thread-safe
-// like JournalFileSink; flush() flushes the active segment, rotation
-// fsyncs the finished segment before switching so a rotation boundary
-// never loses acknowledged events.
+// Journal sink writing rotating segments into a directory.  Thread-safe;
+// flush() flushes the active segment, rotation fsyncs the finished segment
+// before switching so a rotation boundary never loses acknowledged events.
 class JournalSegmentSink final : public JournalSink {
  public:
   explicit JournalSegmentSink(SegmentOptions options);
   ~JournalSegmentSink() override;
 
-  bool ok() const { return ok_; }
+  // False once the first segment could not be created or a torn write
+  // silenced the sink.  Safe to call from any thread (e.g. /readyz).
+  bool ok() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ok_;
+  }
+  // Why the most recent segment could not be created (empty if every
+  // open succeeded); "already exists" means an earlier run's journal.
+  std::string error() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return error_;
+  }
   const SegmentOptions& options() const { return options_; }
   // Path of the segment currently being written.
   std::string active_path() const;
@@ -105,6 +124,7 @@ class JournalSegmentSink final : public JournalSink {
   SegmentOptions options_;
   std::FILE* file_ = nullptr;
   bool ok_ = false;
+  std::string error_;
   std::vector<std::string> paths_;       // opened segments, oldest first
   std::uint64_t segment_bytes_ = 0;      // bytes written to the active segment
   std::uint64_t segment_records_ = 0;    // event records in the active segment
@@ -118,9 +138,9 @@ class JournalSegmentSink final : public JournalSink {
 // --- directory reader -----------------------------------------------------
 
 // Reads every journal segment in `directory` (files named
-// journal-*.vjseg / journal-*.jsonl, sorted by name; formats may be
-// mixed) as one event stream.  Each segment must carry a valid header;
-// sequence numbers must stay monotonic across segment boundaries.
+// journal-*.vjseg, sorted by name) as one event stream.  Each segment must
+// carry a valid header; sequence numbers must stay monotonic across
+// segment boundaries.
 // Torn-tail recovery (opts.recover_truncated_tail) applies only to the
 // final segment — an earlier segment was sealed by a rotation and can
 // only be short through corruption.  `compacted_dropped` sums the
@@ -130,8 +150,8 @@ JournalReadResult read_journal_dir(const std::string& directory,
 
 // --- writer / compaction --------------------------------------------------
 
-// Writes `events` as a single journal file at `path`; binary framing when
-// the path ends in ".vjseg", JSONL otherwise.  The header records
+// Writes `events` as a single framed journal file at `path` (any name;
+// parent directories are created).  The header records
 // `dropped_events` when non-zero.  Events keep their seq / raw field
 // text, so write → read → write round-trips byte-identically.
 bool write_journal_file(const std::string& path,

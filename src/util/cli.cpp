@@ -24,21 +24,25 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 }
 
 bool CliArgs::has(const std::string& key) const {
+  read_.insert(key);
   return values_.count(key) > 0;
 }
 
 std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end()
              ? fallback
@@ -46,15 +50,25 @@ int CliArgs::get_int(const std::string& key, int fallback) const {
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 std::vector<std::string> CliArgs::get_all(const std::string& key) const {
+  read_.insert(key);
   std::vector<std::string> out;
   auto [lo, hi] = values_.equal_range(key);
   for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  return out;
+}
+
+std::vector<std::string> CliArgs::unread() const {
+  std::vector<std::string> out;
+  for (auto it = values_.begin(); it != values_.end();
+       it = values_.upper_bound(it->first))
+    if (!read_.count(it->first)) out.push_back(it->first);
   return out;
 }
 

@@ -1,8 +1,11 @@
 // Minimal command-line flag parser for the driver tools: supports
-// --key=value and --key value forms plus boolean switches.
+// --key=value and --key value forms plus boolean switches.  Every lookup
+// records its key, so once a tool has read all the flags it knows,
+// unread() names the ones it does not (typos, retired flags).
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,7 +13,9 @@ namespace vapro::util {
 
 class CliArgs {
  public:
-  // Parses argv; unknown arguments are collected as positionals.
+  // Parses argv: "--key=value", "--key value" (the next argument, unless
+  // it starts with "--") and bare "--key" (= "true") become flags; every
+  // other argument is a positional.
   CliArgs(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
@@ -23,9 +28,14 @@ class CliArgs {
   // All values passed for a repeatable flag (e.g. several --noise=...).
   std::vector<std::string> get_all(const std::string& key) const;
 
+  // Flags given on the command line that no has/get* call has looked up
+  // yet, in sorted order.
+  std::vector<std::string> unread() const;
+
  private:
   std::multimap<std::string, std::string> values_;
   std::vector<std::string> positionals_;
+  mutable std::set<std::string> read_;
 };
 
 // Splits "a:b:c" into fields.

@@ -45,6 +45,20 @@ TEST(Cli, PositionalsCollected) {
   EXPECT_EQ(args.positionals()[0], "input.txt");
 }
 
+TEST(Cli, UnreadNamesFlagsNoLookupAsked) {
+  auto args = parse({"in.vprt", "--app=CG", "--bogus-flag=3", "--verbose",
+                     "--noise=a", "--noise=b"});
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"app", "bogus-flag", "noise", "verbose"}));
+  args.get("app", "");
+  args.get_all("noise");
+  args.get_bool("verbose");
+  args.has("absent");  // looking up a missing flag is fine
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"bogus-flag"}));
+  // Positionals are not flags and never count as unread.
+  EXPECT_EQ(args.positionals(), (std::vector<std::string>{"in.vprt"}));
+}
+
 TEST(Cli, FallbacksWhenAbsent) {
   auto args = parse({});
   EXPECT_EQ(args.get("x", "dflt"), "dflt");

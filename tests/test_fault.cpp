@@ -1,11 +1,12 @@
 // Tests for src/testing (fault plans, the injector, the virtual clock) and
 // for the hardened hazard sites they drive: journal short-write/ENOSPC and
-// torn-tail recovery, rotation failure, alert-sink drop/throw survival,
-// client ingest drops, and skipped window publication.  Everything here is
+// torn-tail recovery, segment rotation failure, alert-sink drop/throw
+// survival, client ingest drops, and skipped window publication.  Everything here is
 // deterministic — seeded plans, no sleeps, no real time.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/obs/alerts.hpp"
 #include "src/obs/context.hpp"
 #include "src/obs/journal.hpp"
+#include "src/obs/journal_segment.hpp"
 #include "src/testing/fault.hpp"
 #include "src/util/clock.hpp"
 
@@ -167,14 +169,25 @@ TEST(FaultInjector, ThrowIfRaisesFaultInjected) {
 
 // --- journal hazard sites -------------------------------------------------
 
+// The journal's one writer is the segment sink (src/obs/journal_segment);
+// these pin its fault sites from the fault-injection side.
+
+obs::SegmentOptions fault_segments(const std::string& leaf,
+                                   std::uint64_t max_segment_bytes = 0) {
+  obs::SegmentOptions seg;
+  seg.directory = temp_path(leaf);
+  seg.max_segment_bytes = max_segment_bytes;
+  std::filesystem::remove_all(seg.directory);
+  return seg;
+}
+
 TEST(JournalFault, EnospcDropsLineButKeepsSeqMonotonic) {
-  const std::string path = temp_path("journal_enospc.jsonl");
-  std::remove(path.c_str());
+  const obs::SegmentOptions seg = fault_segments("journal_enospc");
   {
     testing_::FaultScope scope(plan_from("seed 1\njournal.write on=3 fail\n"));
     obs::Journal journal;
-    obs::JournalFileSink sink(path);
-    ASSERT_TRUE(sink.ok());
+    obs::JournalSegmentSink sink(seg);
+    ASSERT_TRUE(sink.ok()) << sink.error();
     journal.add_sink(&sink);
     // The header is written at open, not through the hook: hits count
     // event writes only, so on=3 drops the event with seq 2.
@@ -183,9 +196,9 @@ TEST(JournalFault, EnospcDropsLineButKeepsSeqMonotonic) {
                                              "n", static_cast<double>(i))});
     journal.flush();
     EXPECT_EQ(sink.write_faults(), 1u);
-    EXPECT_EQ(sink.lines_written(), 4u);
+    EXPECT_EQ(sink.records_written(), 4u);
   }
-  obs::JournalReadResult read = obs::read_journal(path);
+  obs::JournalReadResult read = obs::read_journal(seg.directory);
   ASSERT_TRUE(read.ok) << read.error;
   ASSERT_EQ(read.events.size(), 4u);
   // seq 2 is a hole: monotonic, never reordered.
@@ -195,118 +208,65 @@ TEST(JournalFault, EnospcDropsLineButKeepsSeqMonotonic) {
 }
 
 TEST(JournalFault, ShortWriteLeavesTornTailAndReaderRecovers) {
-  const std::string path = temp_path("journal_torn.jsonl");
-  std::remove(path.c_str());
+  const obs::SegmentOptions seg = fault_segments("journal_torn");
   {
     testing_::FaultScope scope(
         plan_from("seed 1\njournal.write on=3 short_write\n"));
     obs::Journal journal;
-    obs::JournalFileSink sink(path);
+    obs::JournalSegmentSink sink(seg);
     journal.add_sink(&sink);
     for (int i = 0; i < 4; ++i)
       journal.emit("window", i, 0.1 * i,
                    {obs::JournalField::str("payload", "x-marks-the-line")});
     journal.flush();
     EXPECT_FALSE(sink.ok());  // the "crashed" writer went quiet
-    EXPECT_EQ(sink.lines_written(), 2u);
+    EXPECT_EQ(sink.records_written(), 2u);
   }
-  // Without recovery the torn final line is fatal.
-  obs::JournalReadResult strict = obs::read_journal(path);
+  // Without recovery the torn final frame is fatal.
+  obs::JournalReadResult strict = obs::read_journal(seg.directory);
   EXPECT_FALSE(strict.ok);
   // With recovery: both complete events survive, the tail is reported.
   obs::JournalReadOptions opts;
   opts.recover_truncated_tail = true;
-  obs::JournalReadResult read = obs::read_journal(path, opts);
+  obs::JournalReadResult read = obs::read_journal(seg.directory, opts);
   ASSERT_TRUE(read.ok) << read.error;
   EXPECT_TRUE(read.truncated_tail);
   ASSERT_EQ(read.events.size(), 2u);
   EXPECT_EQ(read.events[1].seq, 1u);
 }
 
-TEST(JournalFault, AppendReopenTruncatesTornTailAndResumes) {
-  const std::string path = temp_path("journal_reopen.jsonl");
-  std::remove(path.c_str());
-  {
-    testing_::FaultScope scope(
-        plan_from("seed 1\njournal.write on=2 short_write\n"));
-    obs::Journal journal;
-    obs::JournalFileSink sink(path);
-    journal.add_sink(&sink);
-    journal.emit("window", 0, 0.0, {});
-    journal.emit("window", 1, 0.1, {});  // torn mid-line
-  }
-  // Reopen as a restarted writer: the torn tail is cut, appending resumes.
-  {
-    obs::Journal journal;
-    obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-    ASSERT_TRUE(sink.ok());
-    EXPECT_GT(sink.recovered_tail_bytes(), 0u);
-    journal.add_sink(&sink);
-    obs::JournalEvent ev;
-    ev.seq = 5;  // journal seq restarts; the sink doesn't renumber
-    ev.type = "window";
-    ev.window = 2;
-    sink.on_event(ev);
-    sink.flush();
-  }
-  obs::JournalReadResult read = obs::read_journal(path);
-  ASSERT_TRUE(read.ok) << read.error;  // no torn line left: strict read is OK
-  ASSERT_EQ(read.events.size(), 2u);
-  EXPECT_EQ(read.events[0].seq, 0u);
-  EXPECT_EQ(read.events[1].seq, 5u);
-}
-
-TEST(JournalFault, CleanAppendReopenRecoversNothing) {
-  const std::string path = temp_path("journal_clean_reopen.jsonl");
-  std::remove(path.c_str());
-  {
-    obs::JournalFileSink sink(path);
-    obs::JournalEvent ev;
-    ev.type = "window";
-    sink.on_event(ev);
-  }
-  obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-  ASSERT_TRUE(sink.ok());
-  EXPECT_EQ(sink.recovered_tail_bytes(), 0u);
-}
-
 TEST(JournalFault, RotateFailureKeepsOldSegmentActive) {
-  const std::string a = temp_path("journal_rot_a.jsonl");
-  const std::string b = temp_path("journal_rot_b.jsonl");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
+  // A 1-byte cap asks for a rotation before every event after the first.
+  const obs::SegmentOptions seg = fault_segments("journal_rot", 1);
   testing_::FaultScope scope(plan_from("seed 1\njournal.rotate on=1 fail\n"));
-  obs::JournalFileSink sink(a);
+  obs::JournalSegmentSink sink(seg);
   obs::JournalEvent ev;
   ev.type = "window";
   sink.on_event(ev);
-  EXPECT_FALSE(sink.rotate(b));  // injected rotation failure
-  EXPECT_EQ(sink.path(), a);
   ev.seq = 1;
-  sink.on_event(ev);  // still writable after the failed rotation
+  sink.on_event(ev);  // injected rotation failure: lands in segment 0
   sink.flush();
-  EXPECT_EQ(sink.lines_written(), 2u);
-  obs::JournalReadResult read = obs::read_journal(a);
+  EXPECT_EQ(sink.rotate_faults(), 1u);
+  EXPECT_EQ(sink.segments_opened(), 1u);
+  EXPECT_EQ(sink.records_written(), 2u);
+  obs::JournalReadResult read = obs::read_journal(sink.active_path());
   ASSERT_TRUE(read.ok) << read.error;
   EXPECT_EQ(read.events.size(), 2u);
 }
 
 TEST(JournalFault, RotateStartsFreshSegmentWithHeader) {
-  const std::string a = temp_path("journal_rot2_a.jsonl");
-  const std::string b = temp_path("journal_rot2_b.jsonl");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  obs::JournalFileSink sink(a);
+  const obs::SegmentOptions seg = fault_segments("journal_rot2", 1);
+  obs::JournalSegmentSink sink(seg);
   obs::JournalEvent ev;
   ev.type = "window";
   sink.on_event(ev);
-  ASSERT_TRUE(sink.rotate(b));
-  EXPECT_EQ(sink.path(), b);
   ev.seq = 1;
-  sink.on_event(ev);
+  sink.on_event(ev);  // over the cap: rotates first
   sink.flush();
-  obs::JournalReadResult ra = obs::read_journal(a);
-  obs::JournalReadResult rb = obs::read_journal(b);
+  const std::vector<std::string> paths = sink.segment_paths();
+  ASSERT_EQ(paths.size(), 2u);
+  obs::JournalReadResult ra = obs::read_journal(paths[0]);
+  obs::JournalReadResult rb = obs::read_journal(paths[1]);
   ASSERT_TRUE(ra.ok) << ra.error;
   ASSERT_TRUE(rb.ok) << rb.error;
   EXPECT_EQ(ra.events.size(), 1u);  // sealed segment

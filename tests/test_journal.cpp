@@ -1,11 +1,12 @@
 // Tests for src/obs/journal + src/obs/journal_segment + src/obs/alerts +
 // src/core/journal_replay: byte-identical write→read round-trips,
-// schema-version rejection, parent directory creation, segment rotation
-// (size/age/faults), binary-framing torn-tail and CRC semantics, mixed
-// JSONL+binary directory readback, compaction replay byte-identity, alert
-// rule parsing/firing, and the acceptance criterion that a journal
-// re-ingested by the replay path reproduces the live run's detection and
-// diagnosis summaries exactly.
+// schema-version rejection, parent directory creation, refusal to reuse a
+// directory holding an earlier run's segments, segment rotation
+// (size/age/faults), torn-tail and CRC semantics of the framing, rejection
+// of unframed files, compaction replay byte-identity, alert rule
+// parsing/firing, and the acceptance criterion that a journal re-ingested
+// by the replay path reproduces the live run's detection and diagnosis
+// summaries exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -52,6 +53,21 @@ std::string slurp(const std::string& path) {
   return oss.str();
 }
 
+// A hand-written journal file: the magic, then each JSON payload framed by
+// the sink's own record encoder.  `tail` is appended raw (a torn frame).
+void write_framed(const std::string& path,
+                  const std::vector<std::string>& payloads,
+                  const std::string& tail = {}) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(obs::kJournalMagic, sizeof(obs::kJournalMagic));
+  for (const std::string& p : payloads) out << obs::encode_record(p);
+  out << tail;
+}
+
+const char* const kV1Header =
+    "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
+    "\"schema_version\":1}";
+
 // In-memory sink used to inspect the exact event stream a run produced.
 struct CollectingJournalSink final : obs::JournalSink {
   std::vector<obs::JournalEvent> events;
@@ -68,12 +84,14 @@ struct CollectingAlertSink final : obs::AlertSink {
 };
 
 TEST(Journal, RoundTripIsByteIdentical) {
-  const std::string path = temp_path("journal_roundtrip.jsonl");
-  std::remove(path.c_str());
+  const std::string dir = temp_path("journal_roundtrip");
+  std::filesystem::remove_all(dir);
   {
     obs::Journal journal;
-    obs::JournalFileSink sink(path);
-    ASSERT_TRUE(sink.ok());
+    obs::SegmentOptions seg;
+    seg.directory = dir;
+    obs::JournalSegmentSink sink(seg);
+    ASSERT_TRUE(sink.ok()) << sink.error();
     journal.add_sink(&sink);
     journal.emit("window", 0, 0.25,
                  {obs::JournalField::num("variance_ratio", 1.3333333333333333),
@@ -89,24 +107,23 @@ TEST(Journal, RoundTripIsByteIdentical) {
     EXPECT_EQ(journal.events_emitted(), 3u);
   }
 
-  obs::JournalReadResult read = obs::read_journal(path);
+  const std::string segment = dir + "/" + obs::journal_segment_name(0);
+  obs::JournalReadResult read = obs::read_journal(segment);
   ASSERT_TRUE(read.ok) << read.error;
   EXPECT_EQ(read.schema_version, obs::kJournalSchemaVersion);
   ASSERT_EQ(read.events.size(), 3u);
   for (std::size_t i = 0; i < read.events.size(); ++i)
     EXPECT_EQ(read.events[i].seq, i);
 
-  // Re-serializing every parsed event must reproduce the original file
-  // line for line: values keep their raw text, nothing is re-rounded.
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));  // header
-  EXPECT_NE(line.find("\"schema\":\"vapro.journal\""), std::string::npos);
-  for (const obs::JournalEvent& ev : read.events) {
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(ev.to_json_line(), line);
-  }
-  EXPECT_FALSE(std::getline(in, line)) << "trailing junk: " << line;
+  // Re-serializing every parsed event must reproduce the sink's segment
+  // byte for byte: values keep their raw text, nothing is re-rounded.
+  const std::string bytes = slurp(segment);
+  EXPECT_NE(bytes.find("\"schema\":\"vapro.journal\""), std::string::npos);
+  const std::string rewritten = temp_path("journal_roundtrip.vjseg");
+  std::string error;
+  ASSERT_TRUE(obs::write_journal_file(rewritten, read.events, 0, &error))
+      << error;
+  EXPECT_EQ(slurp(rewritten), bytes);
 
   // Typed accessors see through the raw text.
   EXPECT_DOUBLE_EQ(read.events[1].number("mean_perf"), 0.58521992720657923);
@@ -115,54 +132,47 @@ TEST(Journal, RoundTripIsByteIdentical) {
 }
 
 TEST(Journal, SchemaVersionMismatchIsRejected) {
-  const std::string path = temp_path("journal_future.jsonl");
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":" << (obs::kJournalSchemaVersion + 1) << "}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}\n";
-  }
+  const std::string path = temp_path("journal_future.vjseg");
+  write_framed(path,
+               {"{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
+                "\"schema_version\":" +
+                    std::to_string(obs::kJournalSchemaVersion + 1) + "}",
+                "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}"});
   obs::JournalReadResult read = obs::read_journal(path);
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.error.find("version"), std::string::npos) << read.error;
 
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"someone.else\","
-           "\"schema_version\":1}\n";
-  }
+  write_framed(path, {"{\"type\":\"journal_header\",\"schema\":"
+                      "\"someone.else\",\"schema_version\":1}"});
   read = obs::read_journal(path);
   EXPECT_FALSE(read.ok);
 }
 
 TEST(Journal, ReaderRejectsNonMonotonicSequence) {
-  const std::string path = temp_path("journal_gap.jsonl");
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":1,\"type\":\"window\",\"window\":0,\"t\":0.1}\n"
-        << "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}\n";
-  }
+  const std::string path = temp_path("journal_gap.vjseg");
+  write_framed(path,
+               {kV1Header,
+                "{\"seq\":1,\"type\":\"window\",\"window\":0,\"t\":0.1}",
+                "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}"});
   obs::JournalReadResult read = obs::read_journal(path);
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.error.find("seq"), std::string::npos) << read.error;
 }
 
 TEST(Journal, TruncatedTailIsFatalStrictlyButRecoverable) {
-  // A writer killed mid-write leaves a partial final line.  The strict
+  // A writer killed mid-write leaves a partial final frame.  The strict
   // reader fails; recover_truncated_tail drops ONLY that torn tail.
-  const std::string path = temp_path("journal_torn_tail.jsonl");
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}\n"
-        << "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}\n"
-        << "{\"seq\":2,\"type\":\"window\",\"wi";  // torn: no newline
-  }
+  const std::string path = temp_path("journal_torn_tail.vjseg");
+  const std::string last = obs::encode_record(
+      "{\"seq\":2,\"type\":\"window\",\"window\":2,\"t\":0.3}");
+  write_framed(path,
+               {kV1Header,
+                "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}",
+                "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}"},
+               last.substr(0, last.size() / 2));  // torn mid-payload
   obs::JournalReadResult strict = obs::read_journal(path);
   EXPECT_FALSE(strict.ok);
+  EXPECT_NE(strict.error.find("torn"), std::string::npos) << strict.error;
 
   obs::JournalReadOptions opts;
   opts.recover_truncated_tail = true;
@@ -174,60 +184,50 @@ TEST(Journal, TruncatedTailIsFatalStrictlyButRecoverable) {
 }
 
 TEST(Journal, RecoveryDoesNotExcuseMidFileCorruption) {
-  const std::string path = temp_path("journal_mid_corrupt.jsonl");
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"win"  // torn line in the MIDDLE
-        << "\n{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}\n";
-  }
+  // A complete frame (valid length and CRC) whose payload is not a JSON
+  // object, followed by a good frame: that is not a torn tail.
+  const std::string path = temp_path("journal_mid_corrupt.vjseg");
+  write_framed(path,
+               {kV1Header, "{\"seq\":0,\"type\":\"win",
+                "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.2}"});
   obs::JournalReadOptions opts;
   opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal(path, opts);
-  EXPECT_FALSE(read.ok);  // only the FINAL line may be torn
+  EXPECT_FALSE(read.ok);  // only the FINAL frame may be torn
 }
 
-TEST(Journal, AppendReopenResumesAfterTornTail) {
-  const std::string path = temp_path("journal_append_resume.jsonl");
+TEST(Journal, UnframedFileIsRejectedForMissingMagic) {
+  // A JSONL journal, the format older builds wrote: the reader names the
+  // missing magic instead of failing on the content at record 1.
+  const std::string path = temp_path("journal_unframed.txt");
   {
     std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}\n"
-        << "{\"seq\":1,\"type\":\"wind";  // torn by a crash
+    out << kV1Header << "\n"
+        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}\n";
   }
-  obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-  ASSERT_TRUE(sink.ok());
-  EXPECT_GT(sink.recovered_tail_bytes(), 0u);
-  obs::JournalEvent ev;
-  ev.seq = 1;
-  ev.type = "window";
-  ev.window = 1;
-  ev.virtual_time = 0.2;
-  sink.on_event(ev);
-  sink.flush();
-  // The resumed file reads back clean — no recovery flag needed.
   obs::JournalReadResult read = obs::read_journal(path);
-  ASSERT_TRUE(read.ok) << read.error;
-  ASSERT_EQ(read.events.size(), 2u);
-  EXPECT_EQ(read.events[0].seq, 0u);
-  EXPECT_EQ(read.events[1].seq, 1u);
+  EXPECT_FALSE(read.ok);
+  EXPECT_NE(read.error.find("VJS1 magic"), std::string::npos) << read.error;
+  EXPECT_EQ(read.error.find("record 1"), std::string::npos) << read.error;
 }
 
 TEST(Journal, FileSinkCreatesParentDirectories) {
-  const std::string path = temp_path("journal_nest/a/b/run.jsonl");
-  obs::JournalFileSink sink(path);
-  ASSERT_TRUE(sink.ok());
+  // The segment sink is the journal's only file writer; its directory may
+  // sit under parents that do not exist yet.
+  const std::string root = temp_path("journal_nest");
+  std::filesystem::remove_all(root);
+  obs::SegmentOptions seg;
+  seg.directory = root + "/a/b/run";
+  obs::JournalSegmentSink sink(seg);
+  ASSERT_TRUE(sink.ok()) << sink.error();
   obs::Journal journal;
   journal.add_sink(&sink);
   journal.emit("window", 0, 0.1, {});
   journal.flush();
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  std::string header;
-  EXPECT_TRUE(std::getline(in, header));
-  EXPECT_NE(header.find("vapro.journal"), std::string::npos);
+  const std::string bytes =
+      slurp(seg.directory + "/" + obs::journal_segment_name(0));
+  EXPECT_EQ(bytes.rfind("VJS1", 0), 0u);
+  EXPECT_NE(bytes.find("vapro.journal"), std::string::npos);
 }
 
 // --- segmented store ------------------------------------------------------
@@ -263,7 +263,7 @@ TEST(JournalSegments, RotatesBySizeAndReadsBackAsOneStream) {
     // Every opened segment is on disk under its canonical name.
     for (std::size_t i = 0; i < segments; ++i)
       EXPECT_TRUE(std::filesystem::exists(
-          dir + "/" + obs::journal_segment_name(i, /*binary=*/true)));
+          dir + "/" + obs::journal_segment_name(i)));
   }
   obs::JournalReadResult read = obs::read_journal_dir(dir);
   ASSERT_TRUE(read.ok) << read.error;
@@ -296,36 +296,41 @@ TEST(JournalSegments, RotatesByVirtualTimeAge) {
   EXPECT_EQ(read.events.size(), 20u);
 }
 
-TEST(JournalSegments, BinaryPayloadsMatchJsonlByteForByte) {
-  const std::string dir_bin = temp_path("seg_fmt_bin");
-  const std::string dir_txt = temp_path("seg_fmt_txt");
-  std::filesystem::remove_all(dir_bin);
-  std::filesystem::remove_all(dir_txt);
-  obs::SegmentOptions bin;
-  bin.directory = dir_bin;
-  obs::SegmentOptions txt;
-  txt.directory = dir_txt;
-  txt.binary = false;
+TEST(JournalSegments, ReusedDirectoryIsRefused) {
+  // A second run pointed at the first run's directory must fail at open:
+  // overwriting segment 0 while stale segments 1..N survive would splice
+  // the two runs into one stream.
+  const std::string dir = temp_path("seg_reused");
+  std::filesystem::remove_all(dir);
+  obs::SegmentOptions seg;
+  seg.directory = dir;
+  seg.max_segment_bytes = 256;
   {
     obs::Journal journal;
-    obs::JournalSegmentSink bsink(bin);
-    obs::JournalSegmentSink tsink(txt);
-    ASSERT_TRUE(bsink.ok());
-    ASSERT_TRUE(tsink.ok());
-    journal.add_sink(&bsink);
-    journal.add_sink(&tsink);
-    emit_windows(journal, 6);
+    obs::JournalSegmentSink sink(seg);
+    ASSERT_TRUE(sink.ok()) << sink.error();
+    journal.add_sink(&sink);
+    emit_windows(journal, 20);
     journal.flush();
+    EXPECT_GT(sink.segments_opened(), 2u);
   }
-  obs::JournalReadResult rb = obs::read_journal_dir(dir_bin);
-  obs::JournalReadResult rt = obs::read_journal_dir(dir_txt);
-  ASSERT_TRUE(rb.ok) << rb.error;
-  ASSERT_TRUE(rt.ok) << rt.error;
-  ASSERT_EQ(rb.events.size(), rt.events.size());
-  // The binary frame payloads are the JSONL lines: every event re-renders
-  // to the identical byte string regardless of which framing carried it.
-  for (std::size_t i = 0; i < rb.events.size(); ++i)
-    EXPECT_EQ(rb.events[i].to_json_line(), rt.events[i].to_json_line());
+  const std::string first_run =
+      slurp(dir + "/" + obs::journal_segment_name(0));
+
+  obs::JournalSegmentSink again(seg);
+  EXPECT_FALSE(again.ok());
+  EXPECT_NE(again.error().find("already exists"), std::string::npos)
+      << again.error();
+  obs::ObsContext ctx;
+  std::string error;
+  EXPECT_FALSE(ctx.attach_journal_segments(seg, &error));
+  EXPECT_NE(error.find("already exists"), std::string::npos) << error;
+
+  // The earlier run's journal is untouched and still reads as one stream.
+  EXPECT_EQ(slurp(dir + "/" + obs::journal_segment_name(0)), first_run);
+  obs::JournalReadResult read = obs::read_journal_dir(dir);
+  ASSERT_TRUE(read.ok) << read.error;
+  EXPECT_EQ(read.events.size(), 20u);
 }
 
 #if defined(VAPRO_FAULT_INJECTION) && VAPRO_FAULT_INJECTION
@@ -371,7 +376,7 @@ TEST(JournalSegments, CrcCorruptionIsFatalEvenWithRecovery) {
     emit_windows(journal, 4);
     journal.flush();
   }
-  const std::string path = dir + "/" + obs::journal_segment_name(0, true);
+  const std::string path = dir + "/" + obs::journal_segment_name(0);
   std::string bytes = slurp(path);
   ASSERT_GT(bytes.size(), 64u);
   // Flip one payload byte in the middle of the file: the frame stays
@@ -490,42 +495,6 @@ TEST(JournalSegments, PlanFileDrivesSegmentFaultSites) {
 }
 #endif  // VAPRO_FAULT_INJECTION
 
-TEST(JournalSegments, MixedJsonlAndBinarySegmentsReadAsOneStream) {
-  const std::string dir = temp_path("seg_mixed");
-  std::filesystem::remove_all(dir);
-  // Collect one event stream, then split it across a JSONL segment and a
-  // binary segment by hand — the reader must not care which framing holds
-  // which half.
-  CollectingJournalSink events;
-  {
-    obs::Journal journal;
-    journal.add_sink(&events);
-    emit_windows(journal, 8);
-  }
-  ASSERT_EQ(events.events.size(), 8u);
-  const std::vector<obs::JournalEvent> first(events.events.begin(),
-                                             events.events.begin() + 4);
-  const std::vector<obs::JournalEvent> second(events.events.begin() + 4,
-                                              events.events.end());
-  std::string error;
-  ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(0, /*binary=*/false), first, 0,
-      &error))
-      << error;
-  ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(1, /*binary=*/true), second, 0,
-      &error))
-      << error;
-  obs::JournalReadResult read = obs::read_journal_dir(dir);
-  ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_EQ(read.segments, 2u);
-  ASSERT_EQ(read.events.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(read.events[i].seq, i);
-    EXPECT_EQ(read.events[i].to_json_line(), events.events[i].to_json_line());
-  }
-}
-
 TEST(JournalSegments, DirReadRejectsCrossSegmentSeqRegression) {
   const std::string dir = temp_path("seg_seq_regress");
   std::filesystem::remove_all(dir);
@@ -538,11 +507,9 @@ TEST(JournalSegments, DirReadRejectsCrossSegmentSeqRegression) {
   std::string error;
   // Segment 1 replays seqs that segment 0 already covered.
   ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(0, true), events.events, 0,
-      &error));
+      dir + "/" + obs::journal_segment_name(0), events.events, 0, &error));
   ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(1, true), events.events, 0,
-      &error));
+      dir + "/" + obs::journal_segment_name(1), events.events, 0, &error));
   obs::JournalReadResult read = obs::read_journal_dir(dir);
   EXPECT_FALSE(read.ok);
   EXPECT_NE(read.error.find("seq"), std::string::npos) << read.error;
@@ -648,7 +615,7 @@ TEST(JournalCompaction, DropsOnlySupersededEvents) {
 }
 
 TEST(JournalCompaction, CompactedJournalReplaysByteIdentically) {
-  const std::string full = temp_path("compact_full.jsonl");
+  const std::string full = temp_path("compact_full.vjseg");
   const std::string compacted = temp_path("compact_out.vjseg");
   const std::vector<obs::JournalEvent> events = compactable_stream();
   std::string error;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -170,14 +171,16 @@ core::FragmentBatch tiny_window(int ranks, int window) {
 }
 
 TEST(WindowLatency, ServerJournalReplaysTheLiveCriticalPathByteIdentically) {
-  const std::string path = "/tmp/vapro_test_latency_journal.jsonl";
-  std::remove(path.c_str());
+  const std::string path = "/tmp/vapro_test_latency_journal";
+  std::filesystem::remove_all(path);
 
   util::VirtualClock vclock;
   obs::ObsContext ctx;
   ctx.set_clock(&vclock);
   ctx.enable_trace();
-  ASSERT_TRUE(ctx.attach_journal_file(path));
+  obs::SegmentOptions seg;
+  seg.directory = path;
+  ASSERT_TRUE(ctx.attach_journal_segments(std::move(seg)));
 
   core::ServerOptions opts;
   opts.run_diagnosis = false;
@@ -221,23 +224,26 @@ TEST(WindowLatency, ServerJournalReplaysTheLiveCriticalPathByteIdentically) {
     EXPECT_NE(report.find("## critical path"), std::string::npos) << report;
     EXPECT_NE(report.find("dominant stage:"), std::string::npos);
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(path);
 }
 
 TEST(WindowLatency, HandWrittenV1JournalReadsBackWithoutTimingEvents) {
   // A journal written by a v1 producer: no window_latency/critical_path
   // events exist, and unknown future types must be skipped, not fatal.
-  const std::string path = "/tmp/vapro_test_latency_v1.jsonl";
+  const std::string path = "/tmp/vapro_test_latency_v1.vjseg";
   {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,"
-           "\"virtual_time\":0.25,\"fragments\":8}\n"
-        << "{\"seq\":1,\"type\":\"some_future_type\",\"window\":0,"
-           "\"virtual_time\":0.25,\"payload\":1}\n"
-        << "{\"seq\":2,\"type\":\"window\",\"window\":1,"
-           "\"virtual_time\":0.5,\"fragments\":8}\n";
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(obs::kJournalMagic, sizeof(obs::kJournalMagic));
+    for (const char* payload :
+         {"{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
+          "\"schema_version\":1}",
+          "{\"seq\":0,\"type\":\"window\",\"window\":0,"
+          "\"virtual_time\":0.25,\"fragments\":8}",
+          "{\"seq\":1,\"type\":\"some_future_type\",\"window\":0,"
+          "\"virtual_time\":0.25,\"payload\":1}",
+          "{\"seq\":2,\"type\":\"window\",\"window\":1,"
+          "\"virtual_time\":0.5,\"fragments\":8}"})
+      out << obs::encode_record(payload);
   }
   const core::JournalSummary summary = core::summarize_journal_file(path);
   ASSERT_TRUE(summary.ok) << summary.error;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,7 +148,8 @@ HttpReply http_get(int port, const std::string& path) {
   return reply;
 }
 
-// Journal events of one type from a file, via the real reader.
+// Journal events of one type from a segment directory, via the real
+// reader.
 std::vector<obs::JournalEvent> journal_events(const std::string& path,
                                               const std::string& type) {
   obs::JournalReadOptions ropts;
@@ -162,6 +164,15 @@ std::vector<obs::JournalEvent> journal_events(const std::string& path,
 std::string scratch_path(const std::string& leaf) {
   const char* dir = std::getenv("TEST_TMPDIR");
   return std::string(dir ? dir : "/tmp") + "/" + leaf;
+}
+
+// Journals into segment directory `dir`, cleared first: the sink refuses
+// to write over segments a previous test run left behind.
+bool attach_fresh_journal(obs::ObsContext& ctx, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  obs::SegmentOptions seg;
+  seg.directory = dir;
+  return ctx.attach_journal_segments(std::move(seg));
 }
 
 // --- wire codec ------------------------------------------------------------
@@ -363,11 +374,11 @@ TEST(TenantSession, ReorderBufferRestoresSeqOrderBeforeApplication) {
 }
 
 TEST(TenantSession, SeqBeyondReorderWindowIsRejectedAndJournaled) {
-  const std::string journal = scratch_path("net_reject_journal.jsonl");
+  const std::string journal = scratch_path("net_reject_journal");
   util::VirtualClock vclock;
   obs::ObsContext ctx;
   ctx.set_clock(&vclock);
-  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  ASSERT_TRUE(attach_fresh_journal(ctx, journal));
 
   net::IngestPlane plane(net::PlaneOptions{});
   net::TenantOptions topts = manual_tenant("a", 2, &ctx);
@@ -391,11 +402,11 @@ TEST(TenantSession, SeqBeyondReorderWindowIsRejectedAndJournaled) {
 }
 
 TEST(TenantSession, ShedOldestEvictsJournalsAndFlipsDegraded) {
-  const std::string journal = scratch_path("net_shed_journal.jsonl");
+  const std::string journal = scratch_path("net_shed_journal");
   util::VirtualClock vclock;
   obs::ObsContext ctx;
   ctx.set_clock(&vclock);
-  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  ASSERT_TRUE(attach_fresh_journal(ctx, journal));
 
   net::PlaneOptions popts;
   popts.obs = &ctx;
@@ -603,7 +614,7 @@ struct LoopbackRig {
         server(&plane) {
     ctx.set_clock(&vclock);
     journal_path = scratch_path(journal_leaf);
-    EXPECT_TRUE(ctx.attach_journal_file(journal_path));
+    EXPECT_TRUE(attach_fresh_journal(ctx, journal_path));
     net::TenantOptions topts;
     topts.name = "t0";
     topts.ranks = ranks;
@@ -623,7 +634,7 @@ struct LoopbackRig {
 };
 
 TEST(NetFault, TornFrameIsNackedAndRetransmitted) {
-  LoopbackRig rig("net_fault_torn.jsonl");
+  LoopbackRig rig("net_fault_torn");
   testing::FaultScope scope(net_plan("seed 1\nnet.frame_torn on=1 fail\n"));
   const core::FragmentBatch batch = make_batch(2, 4, 0);
   std::string error;
@@ -639,7 +650,7 @@ TEST(NetFault, TornFrameIsNackedAndRetransmitted) {
 }
 
 TEST(NetFault, ConnResetAfterAdmissionDedupsOnReconnect) {
-  LoopbackRig rig("net_fault_reset.jsonl");
+  LoopbackRig rig("net_fault_reset");
   testing::FaultScope scope(net_plan("seed 1\nnet.conn_reset on=1 close\n"));
   const core::FragmentBatch batch = make_batch(2, 4, 0);
   std::string error;
@@ -657,7 +668,7 @@ TEST(NetFault, ConnResetAfterAdmissionDedupsOnReconnect) {
 }
 
 TEST(NetFault, DuplicateSendIsDedupedByTheSession) {
-  LoopbackRig rig("net_fault_dup.jsonl");
+  LoopbackRig rig("net_fault_dup");
   testing::FaultScope scope(net_plan("seed 1\nnet.dup_batch on=1 fail\n"));
   const core::FragmentBatch batch = make_batch(2, 4, 0);
   std::string error;
@@ -673,7 +684,7 @@ TEST(NetFault, DuplicateSendIsDedupedByTheSession) {
 }
 
 TEST(NetFault, ReorderedSendIsHealedByTheReorderBuffer) {
-  LoopbackRig rig("net_fault_reorder.jsonl");
+  LoopbackRig rig("net_fault_reorder");
   testing::FaultScope scope(net_plan("seed 1\nnet.reorder on=1 fail\n"));
   std::string error;
   // Frame 0 is held back and delivered after frame 1.
@@ -692,7 +703,7 @@ TEST(NetFault, ReorderedSendIsHealedByTheReorderBuffer) {
 }
 
 TEST(NetFault, SlowPeerShedsWithJournaledAccounting) {
-  LoopbackRig rig("net_fault_slow.jsonl");
+  LoopbackRig rig("net_fault_slow");
   testing::FaultScope scope(net_plan("seed 1\nnet.slow_peer on=1 fail\n"));
   const core::FragmentBatch shed_batch = make_batch(2, 4, 0);
   const core::FragmentBatch kept_batch = make_batch(2, 4, 1);

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/core/scoreboard.hpp"
 #include "src/obs/journal.hpp"
+#include "src/obs/journal_segment.hpp"
 #include "src/obs/quality.hpp"
 #include "src/sim/noise.hpp"
 
@@ -207,8 +209,8 @@ TEST(Quality, GroundTruthJournalRoundTrip) {
 }
 
 TEST(Quality, GroundTruthSurvivesJournalFileRoundTrip) {
-  const std::string path = temp_path("quality_ground_truth.jsonl");
-  std::remove(path.c_str());
+  const std::string path = temp_path("quality_ground_truth");
+  std::filesystem::remove_all(path);
   sim::GroundTruthEvent gt;
   gt.kind = sim::NoiseKind::kSlowDram;
   gt.t_begin = 0.1;
@@ -218,8 +220,10 @@ TEST(Quality, GroundTruthSurvivesJournalFileRoundTrip) {
   gt.magnitude = 3.0;
   {
     obs::Journal journal;
-    obs::JournalFileSink file(path);
-    ASSERT_TRUE(file.ok());
+    obs::SegmentOptions seg;
+    seg.directory = path;
+    obs::JournalSegmentSink file(seg);
+    ASSERT_TRUE(file.ok()) << file.error();
     journal.add_sink(&file);
     core::journal_ground_truth(journal, {gt}, 1.0);
     journal.flush();
@@ -249,15 +253,18 @@ TEST(Quality, SchemaV1JournalFilesStillParse) {
   // A journal written before the quality schema bump: v1 header, only
   // window events.  The v2 reader must accept it — the file simply
   // contains no ground-truth or quality events.
-  const std::string path = temp_path("quality_v1_journal.jsonl");
+  const std::string path = temp_path("quality_v1_journal.vjseg");
   {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.25,"
-           "\"variance_ratio\":0.1}\n"
-        << "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.5,"
-           "\"variance_ratio\":0.2}\n";
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(obs::kJournalMagic, sizeof(obs::kJournalMagic));
+    for (const char* payload :
+         {"{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
+          "\"schema_version\":1}",
+          "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.25,"
+          "\"variance_ratio\":0.1}",
+          "{\"seq\":1,\"type\":\"window\",\"window\":1,\"t\":0.5,"
+          "\"variance_ratio\":0.2}"})
+      out << obs::encode_record(payload);
   }
   const obs::JournalReadResult read = obs::read_journal(path);
   ASSERT_TRUE(read.ok) << read.error;

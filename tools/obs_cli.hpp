@@ -2,12 +2,11 @@
 //
 //   --metrics-out=FILE   self-telemetry JSON (parent dirs created)
 //   --trace-out=FILE     Chrome trace-event JSON of the pipeline
-//   --journal-out=FILE   schema-versioned JSONL event journal
-//   --journal-dir=DIR    rotating journal segments instead of one file
-//                        (binary framing; see src/obs/journal_segment.hpp)
+//   --journal-dir=DIR    schema-versioned event journal as rotating
+//                        CRC-framed segments (src/obs/journal_segment.hpp);
+//                        refused when DIR holds an earlier run's journal
 //   --journal-rotate-bytes=N    segment size cap (default 1 MiB)
 //   --journal-rotate-seconds=S  segment age cap in virtual time (default off)
-//   --journal-jsonl      write JSONL debug segments instead of binary
 //   --listen=PORT        embedded HTTP endpoint (0 = ephemeral port):
 //                        / (endpoint index) /metrics /healthz /v1/heatmap
 //                        /v1/variance /v1/latency /v1/critical_path
@@ -35,6 +34,16 @@
 #include "src/util/table.hpp"
 
 namespace vapro::tools {
+
+// Call once every flag the tool understands has been read: prints each
+// flag given but never read (a typo or a retired flag) and returns false,
+// so the tool can exit 2 before doing any work.
+inline bool reject_unread_flags(const util::CliArgs& args) {
+  const std::vector<std::string> unread = args.unread();
+  for (const std::string& flag : unread)
+    std::cerr << "unknown flag --" << flag << "\n";
+  return unread.empty();
+}
 
 // Shared analysis-pipeline flags for vapro_run / vapro_replay / vapro_stress:
 //
@@ -75,11 +84,9 @@ struct PipelineCli {
 struct ObsCli {
   std::string metrics_path;
   std::string trace_out_path;
-  std::string journal_path;
   std::string journal_dir;
   std::uint64_t journal_rotate_bytes = 1u << 20;
   double journal_rotate_seconds = 0.0;
-  bool journal_jsonl = false;
   std::string listen;
   double listen_linger = 0.0;
   std::string alert_file;
@@ -94,12 +101,10 @@ struct ObsCli {
   void parse(const util::CliArgs& args) {
     metrics_path = args.get("metrics-out", "");
     trace_out_path = args.get("trace-out", "");
-    journal_path = args.get("journal-out", "");
     journal_dir = args.get("journal-dir", "");
     journal_rotate_bytes = static_cast<std::uint64_t>(
         args.get_double("journal-rotate-bytes", 1 << 20));
     journal_rotate_seconds = args.get_double("journal-rotate-seconds", 0.0);
-    journal_jsonl = args.get_bool("journal-jsonl");
     listen = args.get("listen", "");
     listen_linger = args.get_double("listen-linger", 0.0);
     alert_file = args.get("alert-file", "");
@@ -110,8 +115,8 @@ struct ObsCli {
   // Any flag that needs an ObsContext attached?
   bool want_obs() const {
     return !metrics_path.empty() || !trace_out_path.empty() ||
-           !journal_path.empty() || !journal_dir.empty() || !listen.empty() ||
-           !alert_file.empty() || !alert_specs.empty() || obs_table;
+           !journal_dir.empty() || !listen.empty() || !alert_file.empty() ||
+           !alert_specs.empty() || obs_table;
   }
 
   // Enables journal/alerts/exposition on `ctx` per the parsed flags.  Call
@@ -120,20 +125,15 @@ struct ObsCli {
   // false with a printable message in `error`.
   bool activate(obs::ObsContext& ctx, std::string* error) {
     if (!trace_out_path.empty()) ctx.enable_trace();
-    if (!journal_path.empty() || !journal_dir.empty() || !alert_specs.empty())
-      ctx.enable_journal();
-    if (!journal_path.empty() && !ctx.attach_journal_file(journal_path)) {
-      *error = "cannot open --journal-out file " + journal_path;
-      return false;
-    }
+    if (!alert_specs.empty()) ctx.enable_journal();
     if (!journal_dir.empty()) {
       obs::SegmentOptions seg;
       seg.directory = journal_dir;
       seg.max_segment_bytes = journal_rotate_bytes;
       seg.max_segment_seconds = journal_rotate_seconds;
-      seg.binary = !journal_jsonl;
-      if (!ctx.attach_journal_segments(std::move(seg))) {
-        *error = "cannot create --journal-dir segments in " + journal_dir;
+      std::string seg_error;
+      if (!ctx.attach_journal_segments(std::move(seg), &seg_error)) {
+        *error = "--journal-dir: " + seg_error;
         return false;
       }
     }
@@ -206,7 +206,6 @@ struct ObsCli {
     if (obs::Journal* journal = ctx.journal()) {
       journal->flush();
       std::cout << "journal: " << journal->events_emitted() << " events";
-      if (!journal_path.empty()) std::cout << " -> " << journal_path;
       if (const obs::JournalSegmentSink* seg = ctx.journal_segments())
         std::cout << " -> " << journal_dir << " (" << seg->segments_opened()
                   << " segment(s))";

@@ -9,19 +9,19 @@
 //
 // Re-analyzes the same run under different knobs without re-running it.
 //
-//   vapro_replay --from-journal run.jsonl
 //   vapro_replay --from-journal segments_dir/
+//   vapro_replay --from-journal compacted.vjseg
 //
 // reconstructs the original run's detection/diagnosis summaries from its
-// `--journal-out` event journal alone (no raw trace needed): the journal
+// `--journal-dir` event journal alone (no raw trace needed): the journal
 // carries every conclusion at full precision.  A directory of rotated
-// segments (JSONL or binary .vjseg, mixed is fine) replays as one stream.
+// segments replays as one stream; a single segment file reads alone.
 //
 //   vapro_replay --compact-journal SRC --compact-out DST
 //
 // offline compaction: drops superseded variance-region revisions and
-// quality-scoreboard snapshots, writes a single journal at DST (binary if
-// it ends in .vjseg).  The compacted journal replays byte-identically.
+// quality-scoreboard snapshots, writes a single framed journal file at
+// DST.  The compacted journal replays byte-identically.
 #include <chrono>
 #include <iostream>
 
@@ -45,8 +45,43 @@ int main(int argc, char** argv) {
     journal_in = args.positionals()[0];
 
   const std::string compact_src = args.get("compact-journal", "");
+  const std::string compact_dst = args.get("compact-out", "");
+
+  trace::OfflineOptions opts;
+  opts.window_seconds = args.get_double("window", 0.25);
+  opts.variance_threshold = args.get_double("threshold", 0.85);
+  opts.bin_seconds = args.get_double("bins", 0.1);
+  opts.cluster.threshold = args.get_double("cluster-threshold", 0.05);
+  opts.run_diagnosis = !args.get_bool("no-diagnosis");
+  if (args.get_bool("context-aware"))
+    opts.stg_mode = core::StgMode::kContextAware;
+  tools::PipelineCli pipeline_cli;
+  if (!pipeline_cli.parse(args)) return 2;
+  opts.pipeline_depth = pipeline_cli.pipeline_depth;
+  opts.analysis_threads = pipeline_cli.analysis_threads;
+
+  // ObsCli before ObsContext: the journal borrows the alert engine.
+  tools::ObsCli obs_cli;
+  obs_cli.parse(args);
+
+  if (compact_src.empty() && journal_in.empty() &&
+      args.positionals().empty()) {
+    std::cout << "usage: vapro_replay TRACE_FILE [--window=S] "
+                 "[--threshold=X] [--bins=S] [--context-aware] "
+                 "[--no-diagnosis] [--cluster-threshold=X] "
+                 "[--metrics-out=FILE] [--trace-out=FILE] [--obs-table]\n"
+                 "       vapro_replay --from-journal JOURNAL_DIR_OR_FILE\n"
+                 "       vapro_replay --compact-journal SRC --compact-out=DEST\n"
+                 "analysis pipeline flags (as in vapro_run):\n"
+              << tools::PipelineCli::usage_lines()
+              << "extra observability flags (as in vapro_run): "
+                 "[--journal-dir=DIR] [--listen=PORT] [--listen-linger=S] "
+                 "[--alert-rule=SPEC]... [--alert-file=FILE]\n";
+    return 2;
+  }
+  if (!tools::reject_unread_flags(args)) return 2;
+
   if (!compact_src.empty()) {
-    const std::string compact_dst = args.get("compact-out", "");
     if (compact_dst.empty()) {
       std::cerr << "--compact-journal requires --compact-out=DEST\n";
       return 2;
@@ -61,21 +96,6 @@ int main(int argc, char** argv) {
               << stats.kept << " events kept, " << stats.dropped
               << " superseded events dropped\n";
     return 0;
-  }
-
-  if (args.positionals().empty() && journal_in.empty()) {
-    std::cout << "usage: vapro_replay TRACE_FILE [--window=S] "
-                 "[--threshold=X] [--bins=S] [--context-aware] "
-                 "[--no-diagnosis] [--cluster-threshold=X] "
-                 "[--metrics-out=FILE] [--trace-out=FILE] [--obs-table]\n"
-                 "       vapro_replay --from-journal JOURNAL_FILE_OR_DIR\n"
-                 "       vapro_replay --compact-journal SRC --compact-out=DEST\n"
-                 "analysis pipeline flags (as in vapro_run):\n"
-              << tools::PipelineCli::usage_lines()
-              << "extra observability flags (as in vapro_run): "
-                 "[--journal-out=FILE] [--listen=PORT] [--listen-linger=S] "
-                 "[--alert-rule=SPEC]... [--alert-file=FILE]\n";
-    return 2;
   }
 
   if (!journal_in.empty()) {
@@ -94,22 +114,6 @@ int main(int argc, char** argv) {
   std::cout << "loaded " << trace.size() << " events ("
             << trace.byte_size() / 1024 << " KiB)\n";
 
-  trace::OfflineOptions opts;
-  opts.window_seconds = args.get_double("window", 0.25);
-  opts.variance_threshold = args.get_double("threshold", 0.85);
-  opts.bin_seconds = args.get_double("bins", 0.1);
-  opts.cluster.threshold = args.get_double("cluster-threshold", 0.05);
-  opts.run_diagnosis = !args.get_bool("no-diagnosis");
-  if (args.get_bool("context-aware"))
-    opts.stg_mode = core::StgMode::kContextAware;
-  tools::PipelineCli pipeline_cli;
-  if (!pipeline_cli.parse(args)) return 2;
-  opts.pipeline_depth = pipeline_cli.pipeline_depth;
-  opts.analysis_threads = pipeline_cli.analysis_threads;
-
-  // ObsCli before ObsContext: the journal borrows the alert engine.
-  tools::ObsCli obs_cli;
-  obs_cli.parse(args);
   obs::ObsContext obs_ctx;
   if (obs_cli.want_obs()) {
     opts.obs = &obs_ctx;

@@ -63,15 +63,14 @@ int usage() {
       "                         Perfetto)\n"
       "  --obs-table            print the end-of-run metrics table even\n"
       "                         without --metrics-out\n"
-      "  --journal-out=FILE     write the schema-versioned JSONL event\n"
-      "                         journal (variance regions, rare paths,\n"
-      "                         diagnosis verdicts, PMU reprograms)\n"
-      "  --journal-dir=DIR      write rotating journal segments instead\n"
-      "                         (compact binary framing; replayable with\n"
-      "                         vapro_replay --from-journal DIR)\n"
+      "  --journal-dir=DIR      write the schema-versioned event journal\n"
+      "                         (variance regions, rare paths, diagnosis\n"
+      "                         verdicts, PMU reprograms) as rotating\n"
+      "                         CRC-framed segments; DIR must not hold an\n"
+      "                         earlier run's journal.  Read it back with\n"
+      "                         vapro_replay --from-journal DIR\n"
       "  --journal-rotate-bytes=N    segment size cap (default 1 MiB)\n"
       "  --journal-rotate-seconds=S  segment age cap, virtual time\n"
-      "  --journal-jsonl        JSONL debug segments instead of binary\n"
       "  --listen=PORT          serve /metrics (Prometheus), /healthz,\n"
       "                         /v1/heatmap, /v1/variance on\n"
       "                         127.0.0.1:PORT (0 = ephemeral)\n"
@@ -130,15 +129,6 @@ int main(int argc, char** argv) {
   }
 
   const std::string app_name = args.get("app", "");
-  if (app_name.empty()) return usage();
-  const apps::AppSpec* app = nullptr;
-  for (const auto& spec : suite)
-    if (spec.name == app_name) app = &spec;
-  if (!app) {
-    std::cerr << "unknown app '" << app_name << "' — try --list\n";
-    return 2;
-  }
-
   sim::SimConfig config;
   config.ranks = args.get_int("ranks", 64);
   config.cores_per_node = args.get_int("cores-per-node", 24);
@@ -151,7 +141,6 @@ int main(int argc, char** argv) {
     }
     config.noises.push_back(noise);
   }
-  sim::Simulator simulator(config);
 
   core::VaproOptions options;
   options.window_seconds = args.get_double("window", 0.25);
@@ -173,6 +162,22 @@ int main(int argc, char** argv) {
   // ObsCli before ObsContext: the journal borrows the alert engine.
   tools::ObsCli obs_cli;
   obs_cli.parse(args);
+  const bool net_loopback = args.get_bool("net-loopback");
+  const std::string trace_path = args.get("trace", "");
+  const bool json = args.get_bool("json");
+  const bool ansi = args.get_bool("ansi");
+  const std::string csv_dir = args.get("csv", "");
+  if (app_name.empty()) return usage();
+  if (!tools::reject_unread_flags(args)) return 2;
+  const apps::AppSpec* app = nullptr;
+  for (const auto& spec : suite)
+    if (spec.name == app_name) app = &spec;
+  if (!app) {
+    std::cerr << "unknown app '" << app_name << "' — try --list\n";
+    return 2;
+  }
+
+  sim::Simulator simulator(config);
   obs::ObsContext obs_ctx;
   const bool want_obs = obs_cli.want_obs();
   if (want_obs) {
@@ -192,7 +197,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::IngestServer> ingest_server;
   std::unique_ptr<net::IngestClient> ingest_client;
   net::TenantSession* tenant = nullptr;
-  if (args.get_bool("net-loopback")) {
+  if (net_loopback) {
     net::PlaneOptions popts;
     popts.obs = want_obs ? &obs_ctx : nullptr;
     plane = std::make_unique<net::IngestPlane>(popts);
@@ -234,7 +239,6 @@ int main(int argc, char** argv) {
 
   // Optional trace recording, teeing into the live session.
   std::unique_ptr<trace::TraceWriter> writer;
-  const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) {
     writer = std::make_unique<trace::TraceWriter>(
         const_cast<core::VaproClient*>(&session.client()));
@@ -264,17 +268,16 @@ int main(int argc, char** argv) {
             << result.makespan << " virtual seconds, " << result.events
             << " events\n\n";
 
-  if (args.get_bool("json")) {
+  if (json) {
     double total = 0;
     for (double t : result.finish_times) total += t;
     std::cout << core::report_json(session, total) << '\n';
   } else {
     core::ReportOptions ropts;
-    ropts.ansi_color = args.get_bool("ansi");
+    ropts.ansi_color = ansi;
     std::cout << core::render_report(session, ropts);
   }
 
-  const std::string csv_dir = args.get("csv", "");
   if (!csv_dir.empty()) {
     core::write_csv_bundle(session, csv_dir);
     std::cout << "\nheat-map CSVs written to " << csv_dir << "/\n";

@@ -26,6 +26,7 @@
 // fault plan that never injected over the whole invocation.
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -69,8 +70,10 @@ int usage() {
       "                     (see docs/TESTING.md for the plan syntax);\n"
       "                     fails if a site it names never fires\n"
       "  --scratch=DIR      journal scratch directory (default\n"
-      "                     /tmp/vapro_stress; never printed, so two runs\n"
-      "                     with different scratch dirs still compare equal)\n"
+      "                     /tmp/vapro_stress; each round's segment\n"
+      "                     directory under it is recreated, and it is\n"
+      "                     never printed, so two runs with different\n"
+      "                     scratch dirs still compare equal)\n"
       "  --verbose          print the per-round region tables\n"
       "  --equivalence      serial/parallel equivalence property mode: run\n"
       "                     every round at --pipeline-depth=1\n"
@@ -107,12 +110,23 @@ int usage() {
       "  --ranks=N          score mode: ranks per run (default 16)\n"
       "  --json PATH        score mode: write BENCH_quality.json\n"
       "                     (byte-deterministic for a fixed --seed)\n"
-      "  --journal-out/--listen/--alert-rule also apply in score mode:\n"
+      "  --journal-dir/--listen/--alert-rule also apply in score mode:\n"
       "                     the journal gets quality/quality_cell events,\n"
       "                     /v1/quality serves the scoreboard live, and\n"
       "                     rules like 'quality_recall < 0.8' can fire\n"
       << tools::PipelineCli::usage_lines();
   return 2;
+}
+
+// Attaches a segment journal in `dir`, removing whatever an earlier
+// invocation left there first: segments are never overwritten, so a rerun
+// of the same seed must start from an empty directory.
+bool attach_fresh_journal(obs::ObsContext& ctx, const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  obs::SegmentOptions seg;
+  seg.directory = dir;
+  return ctx.attach_journal_segments(std::move(seg));
 }
 
 // Deterministic per-round scenario shape drawn from the round's own rng.
@@ -391,9 +405,9 @@ RoundResult run_round(int round, std::uint64_t seed,
   ctx.enable_trace();
   const std::string journal_path =
       scratch + "/round" + std::to_string(round) +
-      (tag.empty() ? std::string() : "-" + tag) + ".jsonl";
-  if (!ctx.attach_journal_file(journal_path)) {
-    rr.check(false, "journal file unwritable");
+      (tag.empty() ? std::string() : "-" + tag);
+  if (!attach_fresh_journal(ctx, journal_path)) {
+    rr.check(false, "journal directory unwritable");
     return rr;
   }
   SeqCheckSink seq_check;
@@ -711,8 +725,8 @@ bool run_net_round(int round, std::uint64_t seed, int tenants,
     ctxs.push_back(std::make_unique<obs::ObsContext>());
     ctxs.back()->set_clock(clocks.back().get());
     journal_paths.push_back(scratch + "/net-round" + std::to_string(round) +
-                            "-tenant" + std::to_string(t) + ".jsonl");
-    if (!ctxs.back()->attach_journal_file(journal_paths.back())) {
+                            "-tenant" + std::to_string(t));
+    if (!attach_fresh_journal(*ctxs.back(), journal_paths.back())) {
       require(false, "tenant journal unwritable");
       return pass;
     }
@@ -961,6 +975,8 @@ int run_score_mode(const util::CliArgs& args, int argc, char** argv) {
 
   tools::ObsCli obs_cli;
   obs_cli.parse(args);
+  args.has("json");  // the path is bench::JsonReport's, read from argv
+  if (!tools::reject_unread_flags(args)) return 2;
   // Scoreboard before the context: the exposition server (owned by the
   // context) borrows it through /v1/quality until the context dies.
   obs::QualityScoreboard scoreboard;
@@ -1066,6 +1082,7 @@ int main(int argc, char** argv) {
   const int tenants = args.get_int("tenants", 1);
   vapro::tools::PipelineCli pipeline_cli;
   if (!pipeline_cli.parse(args)) return 2;
+  if (!vapro::tools::reject_unread_flags(args)) return 2;
 
   // Per-site injection counts over the whole invocation.  The net and
   // equivalence modes re-arm before every run, and arm() resets the
