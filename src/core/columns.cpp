@@ -14,21 +14,6 @@ static_assert(std::is_trivially_copyable_v<sim::CommArgs>);
 static_assert(std::is_trivially_copyable_v<FragmentKind>);
 static_assert(std::is_trivially_copyable_v<sim::OpKind>);
 
-Fragment FragmentView::materialize() const {
-  Fragment f;
-  f.kind = kind();
-  f.rank = rank();
-  f.from = from();
-  f.to = to();
-  f.start_time = start_time();
-  f.end_time = end_time();
-  f.counters = counters();
-  f.args = args();
-  f.op = op();
-  f.truth_class = truth_class();
-  return f;
-}
-
 FragmentColumns::FragmentColumns(FragmentColumns&& other) noexcept {
   steal(other);
 }
@@ -171,19 +156,19 @@ void FragmentColumns::push_back(const Fragment& f) {
   truth_[i] = f.truth_class;
 }
 
-void FragmentColumns::push_back(const FragmentView& v) {
+void FragmentColumns::push_back(const FragmentColumns& src, std::size_t i) {
   if (size_ == capacity_) grow(size_ + 1);
-  const std::size_t i = size_++;
-  kind_[i] = v.kind();
-  rank_[i] = v.rank();
-  from_[i] = v.from();
-  to_[i] = v.to();
-  start_[i] = v.start_time();
-  end_[i] = v.end_time();
-  counters_[i] = v.counters();
-  args_[i] = v.args();
-  op_[i] = v.op();
-  truth_[i] = v.truth_class();
+  const std::size_t j = size_++;
+  kind_[j] = src.kind_[i];
+  rank_[j] = src.rank_[i];
+  from_[j] = src.from_[i];
+  to_[j] = src.to_[i];
+  start_[j] = src.start_[i];
+  end_[j] = src.end_[i];
+  counters_[j] = src.counters_[i];
+  args_[j] = src.args_[i];
+  op_[j] = src.op_[i];
+  truth_[j] = src.truth_[i];
 }
 
 void FragmentColumns::append(const FragmentColumns& other) {
@@ -203,6 +188,21 @@ void FragmentColumns::append(const FragmentColumns& other) {
   size_ += other.size_;
 }
 
+Fragment FragmentColumns::materialize(std::size_t i) const {
+  Fragment f;
+  f.kind = kind_[i];
+  f.rank = rank_[i];
+  f.from = from_[i];
+  f.to = to_[i];
+  f.start_time = start_[i];
+  f.end_time = end_[i];
+  f.counters = counters_[i];
+  f.args = args_[i];
+  f.op = op_[i];
+  f.truth_class = truth_[i];
+  return f;
+}
+
 void FragmentColumns::set(std::size_t i, const Fragment& f) {
   kind_[i] = f.kind;
   rank_[i] = f.rank;
@@ -214,15 +214,6 @@ void FragmentColumns::set(std::size_t i, const Fragment& f) {
   args_[i] = f.args;
   op_[i] = f.op;
   truth_[i] = f.truth_class;
-}
-
-WorkloadVector make_workload_vector(
-    const FragmentView& f, const std::vector<pmu::Counter>& proxies) {
-  WorkloadVector v;
-  v.dims.resize(workload_dim_count(f.kind(), proxies.size()));
-  write_workload_dims(f.kind(), f.counters(), f.args(), f.op(), proxies,
-                      v.dims.data());
-  return v;
 }
 
 }  // namespace vapro::core

@@ -30,25 +30,24 @@ std::vector<NormalizedFragment> normalize_fragments(
     const Stg& stg, const ClusteringResult& clusters,
     ClusterBaseline* baseline, std::size_t live_begin) {
   std::vector<NormalizedFragment> out;
+  const FragmentColumns& frags = stg.fragments();
   for (const Cluster& c : clusters.clusters) {
     if (c.rare) continue;
     double window_min = std::numeric_limits<double>::infinity();
     for (std::size_t idx : c.members)
-      window_min = std::min(window_min, stg.fragment(idx).duration());
+      window_min = std::min(window_min, frags.duration(idx));
     double fastest = baseline ? baseline->update(c, window_min) : window_min;
     if (fastest <= 0.0) continue;  // zero-duration cluster: nothing to rank
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: context only
-      const FragmentView f = stg.fragment(idx);
+      const double duration = frags.duration(idx);
       NormalizedFragment nf;
       nf.frag_idx = idx;
-      nf.rank = f.rank();
-      nf.start = f.start_time();
-      nf.end = f.end_time();
-      nf.kind = f.kind();
-      nf.perf = f.duration() > 0.0
-                    ? std::min(1.0, fastest / f.duration())
-                    : 1.0;
+      nf.rank = frags.rank(idx);
+      nf.start = frags.start_time(idx);
+      nf.end = frags.end_time(idx);
+      nf.kind = frags.kind(idx);
+      nf.perf = duration > 0.0 ? std::min(1.0, fastest / duration) : 1.0;
       out.push_back(nf);
     }
   }
@@ -57,13 +56,13 @@ std::vector<NormalizedFragment> normalize_fragments(
 
 void CoverageAccumulator::add(const Stg& stg, const ClusteringResult& clusters,
                               std::size_t live_begin) {
+  const FragmentColumns& frags = stg.fragments();
   for (const Cluster& c : clusters.clusters) {
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: already counted
-      const FragmentView f = stg.fragment(idx);
-      const auto k = static_cast<std::size_t>(f.kind());
-      observed[k] += f.duration();
-      if (!c.rare) covered[k] += f.duration();
+      const auto k = static_cast<std::size_t>(frags.kind(idx));
+      observed[k] += frags.duration(idx);
+      if (!c.rare) covered[k] += frags.duration(idx);
     }
   }
 }

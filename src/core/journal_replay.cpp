@@ -112,7 +112,11 @@ JournalSummary summarize_journal(
 }
 
 JournalSummary summarize_journal_file(const std::string& path) {
-  obs::JournalReadResult read = obs::read_journal(path);
+  // A crashed writer leaves a torn final frame; the reader drops only that
+  // tail (of the last segment) and every mid-file fault stays fatal.
+  obs::JournalReadOptions opts;
+  opts.recover_truncated_tail = true;
+  obs::JournalReadResult read = obs::read_journal(path, opts);
   if (!read.ok) {
     JournalSummary s;
     s.error = read.error;
@@ -123,6 +127,7 @@ JournalSummary summarize_journal_file(const std::string& path) {
   // them back keeps the replay's `events:` line — and therefore the whole
   // rendered summary — byte-identical to the uncompacted journal's.
   s.events += read.compacted_dropped;
+  s.torn_tail_bytes = read.truncated_tail_bytes;
   return s;
 }
 

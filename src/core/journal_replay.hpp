@@ -27,6 +27,7 @@ struct JournalSummary {
   std::string error;
 
   std::uint64_t events = 0;          // journal events consumed
+  std::size_t torn_tail_bytes = 0;   // dropped torn final frame (0: none)
   std::size_t windows = 0;           // "window" events seen
   double virtual_time = 0.0;         // latest event virtual time
   double bin_seconds = 0.0;          // from the region events (0 if none)
@@ -51,7 +52,9 @@ struct JournalSummary {
 // structurally inconsistent input (e.g. a region event without a kind).
 JournalSummary summarize_journal(const std::vector<obs::JournalEvent>& events);
 
-// read_journal + summarize_journal; `ok` is false on read errors too.
+// read_journal + summarize_journal; `ok` is false on read errors too.  A
+// torn final frame (a crashed writer) is dropped, not fatal, and reported
+// in `torn_tail_bytes`.
 JournalSummary summarize_journal_file(const std::string& path);
 
 // Human-readable rendering mirroring render_report's region/rare tables

@@ -272,8 +272,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   // Carry-ins from the previous window's tail enter the STG first so
   // indices below `live_begin` are exactly the carried fragments.
   const std::size_t live_begin = overlap_carry_.size();
-  for (const Fragment& f : overlap_carry_) stg_.add_fragment(f);
-  overlap_carry_.clear();
+  if (live_begin != 0) stg_.adopt_fragments(std::move(overlap_carry_));
   // One contiguous scan of the end-time column finds the window end, the
   // overlap cut selects next window's carry candidates, and then the whole
   // batch is adopted into the STG — an arena swap when there is no carry
@@ -287,7 +286,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     const double cut = window_end - opts_.window_overlap_seconds;
     for (std::size_t i = 0; i < drained; ++i)
       if (ends[i] >= cut)
-        overlap_carry_.push_back(batch.fragments.materialize(i));
+        overlap_carry_.push_back(batch.fragments, i);
   }
   stg_.adopt_fragments(std::move(batch.fragments));
   fragments_ += drained;
@@ -334,11 +333,11 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     double first_start = 1e300;
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;
-      const FragmentView f = stg_.fragment(idx);
+      const double duration = stg_.fragments().duration(idx);
       ++finding.executions;
-      finding.total_seconds += f.duration();
-      finding.longest_seconds = std::max(finding.longest_seconds, f.duration());
-      first_start = std::min(first_start, f.start_time());
+      finding.total_seconds += duration;
+      finding.longest_seconds = std::max(finding.longest_seconds, duration);
+      first_start = std::min(first_start, stg_.fragments().start_time(idx));
     }
     if (finding.total_seconds < opts_.rare_report_min_seconds) continue;
     finding.state = c.kind == FragmentKind::kComputation
@@ -390,9 +389,9 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
       const std::uint64_t label = baseline_.key_of(c);
       for (std::size_t idx : c.members) {
         if (idx < live_begin) continue;
-        const FragmentView f = stg_.fragment(idx);
-        if (f.truth_class() < 0) continue;
-        eval_truth_.push_back(static_cast<int>(f.truth_class() % 1000000007));
+        const std::int64_t truth = stg_.fragments().truth_class(idx);
+        if (truth < 0) continue;
+        eval_truth_.push_back(static_cast<int>(truth % 1000000007));
         eval_predicted_.push_back(static_cast<int>(label % 1000000007));
       }
     }

@@ -271,7 +271,7 @@ class AnalysisServer {
   // accessors can sync(); destroyed first in ~AnalysisServer so the worker
   // never outlives the state it writes.
   mutable std::unique_ptr<util::StageExecutor> pipeline_;
-  std::vector<Fragment> overlap_carry_;
+  FragmentColumns overlap_carry_;
   // (truth label, predicted cluster label) for labelled comp fragments.
   std::vector<int> eval_truth_;
   std::vector<int> eval_predicted_;

@@ -154,9 +154,11 @@ void TenantSession::process(Queued q) {
     backend_server_->process_window(std::move(q.batch), q.drain_seconds);
     backend_server_->sync();
   }
-  const bool drained = queue_.depth() == 0;
+  // Publish the cleared flag before releasing the in-flight count: the
+  // release wakes sync(), and a caller that returns from sync() must not
+  // see a degraded tenant whose queue has already drained.
+  if (queue_.depth() == 0) set_degraded(false);
   note_inflight(-1);
-  if (drained) set_degraded(false);
 }
 
 void TenantSession::consumer_loop() {

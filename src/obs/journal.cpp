@@ -374,7 +374,7 @@ JournalReadResult parse_journal_bytes(const std::string& bytes,
     result.events.push_back(std::move(ev));
   }
   if (!saw_header) return fail_result("empty journal (no header record)");
-  result.truncated_tail = records.torn_tail;
+  result.truncated_tail_bytes = records.torn_tail_bytes;
   result.ok = true;
   return result;
 }

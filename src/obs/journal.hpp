@@ -25,6 +25,7 @@
 // locking.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -121,8 +122,9 @@ class Journal {
 struct JournalReadOptions {
   // A writer killed mid-write leaves a torn final frame.  With this set the
   // reader accepts such a journal: the incomplete FINAL frame is dropped,
-  // every complete event before it is returned, and `truncated_tail` is
-  // reported.  A CRC or parse failure in any complete frame stays fatal.
+  // every complete event before it is returned, and its size is reported
+  // in `truncated_tail_bytes`.  A CRC or parse failure in any complete
+  // frame stays fatal.
   bool recover_truncated_tail = false;
 };
 
@@ -130,7 +132,7 @@ struct JournalReadResult {
   bool ok = false;
   std::string error;            // set when !ok (schema mismatch, bad JSON…)
   int schema_version = 0;       // from the header record
-  bool truncated_tail = false;  // a torn final frame was dropped
+  std::size_t truncated_tail_bytes = 0;  // torn final frame dropped (0: none)
   // Events removed by offline compaction, from the `dropped_events` header
   // field (summed across segments).  Replay adds them back into its event
   // count so a compacted journal renders identically to the original.

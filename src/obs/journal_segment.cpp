@@ -87,7 +87,7 @@ DecodedRecords decode_records(const std::string& bytes,
     // shorter at EOF is a torn write from a killed writer.
     if (bytes.size() - pos < 8) {
       if (recover_truncated_tail) {
-        out.torn_tail = true;
+        out.torn_tail_bytes = bytes.size() - pos;
         break;
       }
       out.error = "torn frame header at byte " + std::to_string(pos);
@@ -102,7 +102,7 @@ DecodedRecords decode_records(const std::string& bytes,
     }
     if (bytes.size() - pos - 8 < len) {
       if (recover_truncated_tail) {
-        out.torn_tail = true;
+        out.torn_tail_bytes = bytes.size() - pos;
         break;
       }
       out.error = "torn frame payload at byte " + std::to_string(pos);
@@ -289,7 +289,7 @@ JournalReadResult read_journal_dir(const std::string& directory,
       return result;
     }
     result.schema_version = std::max(result.schema_version, seg.schema_version);
-    result.truncated_tail = result.truncated_tail || seg.truncated_tail;
+    result.truncated_tail_bytes += seg.truncated_tail_bytes;
     result.compacted_dropped += seg.compacted_dropped;
     for (JournalEvent& ev : seg.events) {
       if (static_cast<std::int64_t>(ev.seq) <= last_seq) {

@@ -60,13 +60,13 @@ std::string encode_record(const std::string& payload);
 // The inverse over a whole journal file: checks the magic, every frame's
 // length and CRC, and returns the payloads in order.  A frame cut short
 // by the end of the file is an error, or — with recover_truncated_tail —
-// dropped and reported as `torn_tail`; a CRC mismatch on a complete frame
-// is always an error.
+// dropped and its length reported as `torn_tail_bytes`; a CRC mismatch on
+// a complete frame is always an error.
 struct DecodedRecords {
   bool ok = false;
   std::string error;  // set when !ok
   std::vector<std::string> payloads;
-  bool torn_tail = false;
+  std::size_t torn_tail_bytes = 0;  // 0: no torn tail
 };
 DecodedRecords decode_records(const std::string& bytes,
                               bool recover_truncated_tail);

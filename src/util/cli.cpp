@@ -1,5 +1,6 @@
 #include "src/util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace vapro::util {
@@ -9,16 +10,18 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       positionals_.push_back(std::move(arg));
+      positional_args_.push_back(i);
       continue;
     }
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_.emplace(arg.substr(0, eq), arg.substr(eq + 1));
+      values_.emplace(arg.substr(0, eq), Value{arg.substr(eq + 1)});
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_.emplace(arg, argv[++i]);
+      ++i;
+      values_.emplace(arg, Value{argv[i], i});
     } else {
-      values_.emplace(arg, "true");  // boolean switch
+      values_.emplace(arg, Value{"true"});  // boolean switch
     }
   }
 }
@@ -32,35 +35,47 @@ std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
   read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? fallback : it->second.text;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? fallback
+                             : std::strtod(it->second.text.c_str(), nullptr);
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
   read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end()
-             ? fallback
-             : static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
+  return it == values_.end() ? fallback
+                             : static_cast<int>(std::strtol(
+                                   it->second.text.c_str(), nullptr, 10));
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  Value& v = it->second;
+  const bool yes = v.text == "true" || v.text == "1" || v.text == "yes";
+  const bool no = v.text == "false" || v.text == "0" || v.text == "no";
+  if (yes || no || v.next_arg == 0) return yes;
+  // "--switch positional": the switch swallowed the next argument.
+  const auto at = std::lower_bound(positional_args_.begin(),
+                                   positional_args_.end(), v.next_arg);
+  positionals_.insert(positionals_.begin() + (at - positional_args_.begin()),
+                      v.text);
+  positional_args_.insert(at, v.next_arg);
+  v = Value{"true"};
+  return true;
 }
 
 std::vector<std::string> CliArgs::get_all(const std::string& key) const {
   read_.insert(key);
   std::vector<std::string> out;
   auto [lo, hi] = values_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  for (auto it = lo; it != hi; ++it) out.push_back(it->second.text);
   return out;
 }
 

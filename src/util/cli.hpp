@@ -22,6 +22,10 @@ class CliArgs {
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   int get_int(const std::string& key, int fallback) const;
+  // A boolean switch cannot know at parse time that it takes no value, so
+  // "--switch file" first files `file` as the switch's value.  When that
+  // value is not a boolean literal (true/false, 1/0, yes/no), get_bool
+  // returns true and hands `file` back to the positionals at its place.
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
@@ -33,8 +37,15 @@ class CliArgs {
   std::vector<std::string> unread() const;
 
  private:
-  std::multimap<std::string, std::string> values_;
-  std::vector<std::string> positionals_;
+  struct Value {
+    std::string text;
+    int next_arg = 0;  // argv index when taken from the following argument
+  };
+
+  // Mutable so get_bool can return a swallowed positional.
+  mutable std::multimap<std::string, Value> values_;
+  mutable std::vector<std::string> positionals_;
+  mutable std::vector<int> positional_args_;  // argv index of each positional
   mutable std::set<std::string> read_;
 };
 

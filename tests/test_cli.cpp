@@ -31,6 +31,33 @@ TEST(Cli, BooleanSwitches) {
   EXPECT_TRUE(args.get_bool("missing", true));
 }
 
+TEST(Cli, BooleanSwitchHandsBackTheNextPositional) {
+  // Switch before the positional: the positional is not swallowed.
+  auto before = parse({"--no-diagnosis", "run.vprt", "--window=0.5"});
+  EXPECT_TRUE(before.get_bool("no-diagnosis"));
+  EXPECT_EQ(before.positionals(), (std::vector<std::string>{"run.vprt"}));
+  EXPECT_TRUE(before.get_bool("no-diagnosis"));  // idempotent
+  EXPECT_EQ(before.positionals().size(), 1u);
+  // Switch after the positional: same result.
+  auto after = parse({"run.vprt", "--no-diagnosis"});
+  EXPECT_TRUE(after.get_bool("no-diagnosis"));
+  EXPECT_EQ(after.positionals(), (std::vector<std::string>{"run.vprt"}));
+  // The swallowed argument goes back at its original place.
+  auto middle = parse({"a", "--verbose", "b", "c"});
+  EXPECT_TRUE(middle.get_bool("verbose"));
+  EXPECT_EQ(middle.positionals(), (std::vector<std::string>{"a", "b", "c"}));
+  // Boolean literals stay the switch's value.
+  auto literal = parse({"--json", "false", "--ansi", "yes"});
+  EXPECT_FALSE(literal.get_bool("json"));
+  EXPECT_TRUE(literal.get_bool("ansi"));
+  EXPECT_TRUE(literal.positionals().empty());
+  // "--key value" still reads as a value for a non-boolean lookup.
+  auto valued = parse({"--from-journal", "jd", "--json", "out.json"});
+  EXPECT_EQ(valued.get("from-journal", ""), "jd");
+  EXPECT_EQ(valued.get("json", ""), "out.json");
+  EXPECT_TRUE(valued.positionals().empty());
+}
+
 TEST(Cli, RepeatableFlags) {
   auto args = parse({"--noise=cpu:1:0:1:1", "--noise=mem:2:0:1:3"});
   auto noises = args.get_all("noise");

@@ -230,7 +230,7 @@ TEST(JournalFault, ShortWriteLeavesTornTailAndReaderRecovers) {
   opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal(seg.directory, opts);
   ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_TRUE(read.truncated_tail);
+  EXPECT_GT(read.truncated_tail_bytes, 0u);
   ASSERT_EQ(read.events.size(), 2u);
   EXPECT_EQ(read.events[1].seq, 1u);
 }

@@ -178,7 +178,7 @@ TEST(Journal, TruncatedTailIsFatalStrictlyButRecoverable) {
   opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal(path, opts);
   ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_TRUE(read.truncated_tail);
+  EXPECT_GT(read.truncated_tail_bytes, 0u);
   ASSERT_EQ(read.events.size(), 2u);
   EXPECT_EQ(read.events[1].seq, 1u);
 }
@@ -358,7 +358,7 @@ TEST(JournalSegments, BinaryTornTailIsFatalStrictlyButRecoverable) {
   opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal_dir(dir, opts);
   ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_TRUE(read.truncated_tail);
+  EXPECT_GT(read.truncated_tail_bytes, 0u);
   ASSERT_EQ(read.events.size(), 3u);
   EXPECT_EQ(read.events.back().seq, 2u);
 }
@@ -485,7 +485,7 @@ TEST(JournalSegments, PlanFileDrivesSegmentFaultSites) {
   opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal_dir(dir, opts);
   ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_TRUE(read.truncated_tail);
+  EXPECT_GT(read.truncated_tail_bytes, 0u);
   std::vector<std::uint64_t> seqs;
   for (const auto& ev : read.events) seqs.push_back(ev.seq);
   // Seqs 4 and 9 were dropped by ENOSPC, seq 16 by the torn tail, and the
@@ -594,10 +594,15 @@ TEST(JournalCompaction, DropsOnlySupersededEvents) {
   // snapshot (one cell + one aggregate).
   EXPECT_EQ(stats.dropped, 4u);
   for (const obs::JournalEvent& ev : events) {
-    if (ev.type == "variance_region" && ev.str("kind") == "computation")
+    if (ev.type == "variance_region" && ev.str("kind") == "computation") {
       EXPECT_EQ(ev.number("revision"), 2.0);
-    if (ev.type == "quality") EXPECT_DOUBLE_EQ(ev.number("quality_f1"), 0.75);
-    if (ev.type == "quality_cell") EXPECT_DOUBLE_EQ(ev.number("f1"), 0.75);
+    }
+    if (ev.type == "quality") {
+      EXPECT_DOUBLE_EQ(ev.number("quality_f1"), 0.75);
+    }
+    if (ev.type == "quality_cell") {
+      EXPECT_DOUBLE_EQ(ev.number("f1"), 0.75);
+    }
   }
   // The io region at revision 1 is that kind's final revision — kept.
   bool io_region = false;
@@ -648,6 +653,55 @@ TEST(JournalCompaction, CompactedJournalReplaysByteIdentically) {
   const core::JournalSummary stwice = core::summarize_journal_file(twice);
   EXPECT_EQ(core::render_journal_summary(sfull),
             core::render_journal_summary(stwice));
+}
+
+// A crashed writer: 5 bytes cut off the last segment of a rotated
+// directory.  Replay drops only the torn final frame and renders exactly
+// what the complete records, written whole, render; corruption inside a
+// complete frame stays fatal.
+TEST(JournalReplay, CrashedWritersDirectoryReplaysLikeItsCompleteRecords) {
+  const std::vector<obs::JournalEvent> events = compactable_stream();
+  const std::string dir = temp_path("replay_torn_dir");
+  std::filesystem::remove_all(dir);
+  obs::SegmentOptions seg;
+  seg.directory = dir;
+  seg.max_segment_bytes = 512;
+  std::string last_segment;
+  {
+    obs::JournalSegmentSink sink(seg);
+    for (const obs::JournalEvent& ev : events) sink.on_event(ev);
+    sink.flush();
+    ASSERT_TRUE(sink.ok()) << sink.error();
+    ASSERT_GE(sink.segments_opened(), 2u);
+    last_segment = sink.segment_paths().back();
+  }
+  std::filesystem::resize_file(last_segment,
+                               std::filesystem::file_size(last_segment) - 5);
+
+  const std::string whole = temp_path("replay_torn_whole.vjseg");
+  const std::vector<obs::JournalEvent> complete(events.begin(),
+                                                events.end() - 1);
+  std::string error;
+  ASSERT_TRUE(obs::write_journal_file(whole, complete, 0, &error)) << error;
+
+  const core::JournalSummary cut = core::summarize_journal_file(dir);
+  const core::JournalSummary ref = core::summarize_journal_file(whole);
+  ASSERT_TRUE(cut.ok) << cut.error;
+  ASSERT_TRUE(ref.ok) << ref.error;
+  EXPECT_GT(cut.torn_tail_bytes, 0u);
+  EXPECT_EQ(ref.torn_tail_bytes, 0u);
+  EXPECT_EQ(cut.events, complete.size());
+  EXPECT_EQ(core::render_journal_summary(cut),
+            core::render_journal_summary(ref));
+
+  // Flip the first payload byte of the last segment's header frame: a
+  // complete frame with a bad CRC is corruption, not a torn tail.
+  std::string bytes = slurp(last_segment);
+  bytes[sizeof(obs::kJournalMagic) + 8] ^= 0x5a;
+  std::ofstream(last_segment, std::ios::binary | std::ios::trunc) << bytes;
+  const core::JournalSummary corrupt = core::summarize_journal_file(dir);
+  EXPECT_FALSE(corrupt.ok);
+  EXPECT_NE(corrupt.error.find("CRC"), std::string::npos) << corrupt.error;
 }
 
 TEST(Alerts, RuleParsing) {

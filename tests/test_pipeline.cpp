@@ -505,10 +505,10 @@ std::string canonical_clusters(const core::Stg& stg,
   for (const core::Cluster& c : res.clusters) {
     std::vector<std::string> members;
     for (std::size_t idx : c.members) {
-      const core::FragmentView f = stg.fragment(idx);
+      const core::FragmentColumns& frags = stg.fragments();
       char buf[96];
-      std::snprintf(buf, sizeof buf, "%d@%.17g:%.17g", f.rank(),
-                    f.start_time(), f.args().bytes);
+      std::snprintf(buf, sizeof buf, "%d@%.17g:%.17g", frags.rank(idx),
+                    frags.start_time(idx), frags.args(idx).bytes);
       members.emplace_back(buf);
     }
     std::sort(members.begin(), members.end());

@@ -106,6 +106,10 @@ int main(int argc, char** argv) {
       std::cerr << "journal replay failed: " << summary.error << "\n";
       return 1;
     }
+    if (summary.torn_tail_bytes != 0)
+      std::cerr << "journal replay: dropped a torn " << summary.torn_tail_bytes
+                << "-byte final frame (crashed writer); replaying the "
+                << summary.events << " complete events before it\n";
     std::cout << core::render_journal_summary(summary);
     return 0;
   }

@@ -83,8 +83,8 @@ int usage() {
       "                     journal-replay tables and the seq-normalized\n"
       "                     journal event stream against the serial base;\n"
       "                     two extra `soa` legs rebuild every window's\n"
-      "                     fragment columns through the materialize/view\n"
-      "                     shim and must stay byte-identical too\n"
+      "                     fragment columns through materialize and the\n"
+      "                     row copy and must stay byte-identical too\n"
       "  --net              net-transport equivalence variant: feed every\n"
       "                     scenario through the framed wire protocol over\n"
       "                     a loopback socket (IngestClient -> IngestServer\n"
@@ -252,12 +252,12 @@ core::FragmentBatch make_window_batch(const Scenario& sc, int window,
   std::vector<core::Fragment> wire;
   wire.reserve(batch.fragments.size());
   std::size_t dropped = 0, duplicated = 0;
-  for (const core::FragmentView v : batch.fragments) {
+  for (std::size_t i = 0; i < batch.fragments.size(); ++i) {
     if (sc.drop_prob > 0 && rng.bernoulli(sc.drop_prob)) {
       ++dropped;
       continue;
     }
-    core::Fragment f = v.materialize();
+    const core::Fragment f = batch.fragments.materialize(i);
     wire.push_back(f);
     if (sc.dup_prob > 0 && rng.bernoulli(sc.dup_prob)) {
       wire.push_back(f);
@@ -319,15 +319,15 @@ const core::FragmentKind kKinds[3] = {core::FragmentKind::kComputation,
 struct PipeCfg {
   int depth = 1;
   int threads = 1;
-  // SoA leg: rebuild every window's FragmentColumns through the
-  // materialize/view shim before feeding the server — proves the columnar
+  // SoA leg: rebuild every window's FragmentColumns through materialize
+  // and the row copy before feeding the server — proves the columnar
   // conversion is lossless (artifacts byte-identical to the direct path).
   bool soa_rebuild = false;
 };
 
-// Round-trips a batch's columns through every conversion surface the shim
-// offers: the first half is materialized to owning Fragments and re-pushed
-// (Fragment -> columns), the second half is re-pushed via FragmentView
+// Round-trips a batch's columns through every conversion surface the
+// columns offer: the first half is materialized to owning Fragments and
+// re-pushed (Fragment -> columns), the second half is row-copied
 // (columns -> columns) into a separate block that is then appended
 // (cross-arena splice).  Any drift in the SoA layout shows up as a
 // byte-level artifact mismatch downstream.
@@ -338,7 +338,7 @@ core::FragmentColumns rebuild_columns(const core::FragmentColumns& cols) {
   for (std::size_t i = 0; i < half; ++i)
     rebuilt.push_back(cols.materialize(i));
   core::FragmentColumns tail;
-  for (std::size_t i = half; i < cols.size(); ++i) tail.push_back(cols[i]);
+  for (std::size_t i = half; i < cols.size(); ++i) tail.push_back(cols, i);
   rebuilt.append(tail);
   return rebuilt;
 }
@@ -586,7 +586,8 @@ RoundResult run_round(int round, std::uint64_t seed,
     rr.report << "  fragments=" << sent_fragments
               << " windows=" << sc.windows
               << " journal_events=" << read.events.size()
-              << " truncated_tail=" << (read.truncated_tail ? 1 : 0)
+              << " truncated_tail="
+              << (read.truncated_tail_bytes != 0 ? 1 : 0)
               << " alerts=" << engine.alerts_fired()
               << " delivered=" << alert_sink.delivered << "\n";
   }
@@ -1135,7 +1136,7 @@ int main(int argc, char** argv) {
     // Each round runs the serial base (depth 1, 1 thread) and then the
     // full variant matrix against it, so every round covers the complete
     // depth {1,2} x threads {1,2,4} grid.  The two `soa` legs rebuild
-    // every window's columns through the materialize/view shim
+    // every window's columns through materialize and the row copy
     // (rebuild_columns) — serially and at the widest pipeline point — so
     // the SoA layout's conversion surfaces are part of the same
     // byte-identity property as the threading matrix.
