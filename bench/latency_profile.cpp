@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   core::AnalysisServer server(kRanks, sopts);
   util::Rng rng(7);
 
-  std::vector<double> per_stage[obs::kLatencyStageCount];
+  std::vector<double> per_stage[obs::kStages.size()];
   std::vector<double> totals;
   for (int w = 0; w < windows; ++w) {
     core::FragmentBatch batch = make_window(w, rng);
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     const auto& recent = server.latency_tracker().recent();
     if (!recent.empty()) {
       const obs::WindowLatencyRecord& r = recent.back();
-      for (std::size_t s = 0; s < obs::kLatencyStageCount; ++s)
+      for (std::size_t s = 0; s < obs::kStages.size(); ++s)
         per_stage[s].push_back(r.stage_seconds[s]);
       totals.push_back(r.total_seconds());
     }
@@ -143,11 +143,10 @@ int main(int argc, char** argv) {
                                                tracker.summary());
 
   const obs::CriticalPathTracker::Summary sum = tracker.summary();
-  for (std::size_t s = 0; s < obs::kLatencyStageCount; ++s) {
-    json.record(std::string("stage_") + obs::kLatencyStageNames[s] +
-                    "_seconds",
+  for (std::size_t s = 0; s < obs::kStages.size(); ++s) {
+    json.record(std::string("stage_") + obs::kStages[s].name + "_seconds",
                 per_stage[s]);
-    json.record(std::string("bound_windows_") + obs::kLatencyStageNames[s],
+    json.record(std::string("bound_windows_") + obs::kStages[s].name,
                 {static_cast<double>(sum.bound_windows[s])});
   }
   json.record("window_total_seconds", totals);

@@ -208,15 +208,11 @@ ConfigRun run_config(int threads, int depth) {
   run.shard_idle_seconds = breakdown.shard_idle_seconds;
   run.windows_per_sec = kWindows / wall;
   if (debug) {
-    double stg = 0, cl = 0, norm = 0, dep = 0, diag = 0;
-    for (const auto& wst : ctx.windows().windows()) {
-      stg += wst.stg_seconds; cl += wst.cluster_seconds;
-      norm += wst.normalize_seconds; dep += wst.deposit_seconds;
-      diag += wst.diagnose_seconds;
-    }
-    std::cout << "t" << threads << "d" << depth << " wall=" << wall
-              << " stg=" << stg << " cluster=" << cl << " norm=" << norm
-              << " deposit=" << dep << " diag=" << diag << "\n";
+    const obs::PipelineStats sum = ctx.windows().totals();
+    std::cout << "t" << threads << "d" << depth << " wall=" << wall;
+    for (const obs::Stage& stage : obs::kStages)
+      std::cout << ' ' << stage.name << '=' << sum.*stage.seconds;
+    std::cout << "\n";
   }
   return run;
 }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+
+#include "src/obs/exposition.hpp"
 
 namespace vapro::core {
 
@@ -156,6 +159,21 @@ std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
   }
   oss << "}}";
   return oss.str();
+}
+
+void LiveRoutes::add(const char* path, std::function<std::string()> render) {
+  if (!http_) return;
+  http_->add_route(path, [render = std::move(render)] {
+    obs::HttpResponse r;
+    r.content_type = "application/json";
+    r.body = render();
+    return r;
+  });
+  paths_.push_back(path);
+}
+
+LiveRoutes::~LiveRoutes() {
+  for (const char* path : paths_) http_->remove_route(path);
 }
 
 }  // namespace vapro::core

@@ -7,13 +7,15 @@
 //  - RegionJournal: revision-deduped variance_region/variance_clear
 //    journal emission, so a region set is re-journaled only when its
 //    bounding boxes change between windows;
-//  - JSON renderers for the /v1/heatmap and /v1/variance HTTP routes.
+//  - JSON renderers for the /v1/heatmap and /v1/variance HTTP routes;
+//  - LiveRoutes: the one registration of the four /v1 routes.
 //
 // A single server publishes from its own maps; a ServerGroup publishes the
 // merged root view (its leaves are constructed with live_detection=false).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,10 @@
 #include "src/core/heatmap.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/metrics.hpp"
+
+namespace vapro::obs {
+class ExpositionServer;
+}  // namespace vapro::obs
 
 namespace vapro::core {
 
@@ -77,5 +83,32 @@ std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
 std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
                                  std::size_t windows, double virtual_time,
                                  double bin_seconds, double threshold);
+
+// The /v1/heatmap, /v1/variance, /v1/latency and /v1/critical_path routes
+// of one publishing owner (a single server or a group root), served from
+// the owner's render_*_json methods and removed when this object dies —
+// so an owner declares it after every member those methods read.  A null
+// exposition server makes it a no-op.
+class LiveRoutes {
+ public:
+  template <class Owner>
+  LiveRoutes(obs::ExpositionServer* http, const Owner* owner) : http_(http) {
+    add("/v1/heatmap", [owner] { return owner->render_heatmap_json(); });
+    add("/v1/variance", [owner] { return owner->render_variance_json(); });
+    add("/v1/latency", [owner] { return owner->render_latency_json(); });
+    add("/v1/critical_path",
+        [owner] { return owner->render_critical_path_json(); });
+  }
+  ~LiveRoutes();
+  LiveRoutes(const LiveRoutes&) = delete;
+  LiveRoutes& operator=(const LiveRoutes&) = delete;
+
+ private:
+  // Serves render()'s JSON at `path`.
+  void add(const char* path, std::function<std::string()> render);
+
+  obs::ExpositionServer* http_;
+  std::vector<const char*> paths_;
+};
 
 }  // namespace vapro::core

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/obs/exposition.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/span.hpp"
 #include "src/testing/fault.hpp"
@@ -17,24 +16,47 @@ namespace {
 constexpr FragmentKind kAllKinds[] = {FragmentKind::kComputation,
                                       FragmentKind::kCommunication,
                                       FragmentKind::kIo};
-// Lap timer splitting process_window into the PipelineStats stages; every
-// statement of the window body is charged to exactly one stage, so the
-// per-stage times sum to the window's tool time.
-class StageClock {
+
+// The stage table's per-window ledger: every obs::kStages row's seconds
+// land in the window's PipelineStats field and the row's histogram.  The
+// stages run back to back from `lap_start`, so every statement of the
+// window body is charged to exactly one stage and the stage times sum to
+// the window's tool time.
+struct WindowStages {
+  util::Clock* clock;
+  double lap_start;  // clock reading the running stage began at
+  const std::array<obs::Histogram*, obs::kStages.size()>& hist;
+  obs::TraceRecorder* trace;
+  obs::Counter* spans_dropped;
+  obs::PipelineStats stats{};
+
+  void charge(std::size_t stage, double seconds) {
+    stats.*obs::kStages[stage].seconds = seconds;
+    if (hist[stage]) hist[stage]->record(seconds);
+  }
+};
+
+// One stage of one window: spans "stage.<name>" while alive, then laps the
+// window's clock once and charges the lap to the stage.
+class StageScope {
  public:
-  explicit StageClock(util::Clock* clock)
-      : clock_(clock ? clock : util::real_clock()),
-        last_(clock_->now_seconds()) {}
-  double lap() {
-    const double now = clock_->now_seconds();
-    const double s = now - last_;
-    last_ = now;
-    return s;
+  StageScope(WindowStages& window, std::size_t stage)
+      : window_(window),
+        stage_(stage),
+        span_({window.trace, window.spans_dropped},
+              std::string("stage.") + obs::kStages[stage].name, "server") {}
+  ~StageScope() {
+    const double now = window_.clock->now_seconds();
+    window_.charge(stage_, now - window_.lap_start);
+    window_.lap_start = now;
   }
 
+  void add_arg(obs::TraceArg a) { span_.add_arg(std::move(a)); }
+
  private:
-  util::Clock* clock_;
-  double last_;
+  WindowStages& window_;
+  std::size_t stage_;
+  obs::SpanScope span_;
 };
 
 DiagnosisOptions with_obs(DiagnosisOptions diag, obs::ObsContext* obs) {
@@ -65,7 +87,16 @@ AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
     // depth d admits one window in flight on the worker plus d-1 queued.
     pipeline_ = std::make_unique<util::StageExecutor>(
         static_cast<std::size_t>(opts_.pipeline_depth - 1), opts_.clock);
-  if (opts_.obs && opts_.live_detection) attach_live_routes();
+  if (opts_.obs)
+    for (std::size_t s = 0; s < obs::kStages.size(); ++s)
+      // queue_wait predates the stage.* histogram family and keeps its name.
+      stage_hist_[s] = opts_.obs->metrics().histogram(
+          s == obs::stage_index("queue_wait")
+              ? std::string("vapro.server.queue_wait_seconds")
+              : std::string("vapro.server.stage.") + obs::kStages[s].name +
+                    "_seconds");
+  if (opts_.obs && opts_.live_detection)
+    live_routes_.emplace(opts_.obs->exposition(), this);
 }
 
 AnalysisServer::~AnalysisServer() {
@@ -74,50 +105,12 @@ AnalysisServer::~AnalysisServer() {
   // shard pool goes second: the stage worker fans out through it.
   pipeline_.reset();
   workers_.reset();
-  if (!opts_.obs || live_routes_.empty()) return;
-  if (obs::ExpositionServer* http = opts_.obs->exposition())
-    for (const std::string& path : live_routes_) http->remove_route(path);
 }
 
 void AnalysisServer::sync() const {
   if (!pipeline_) return;
   pipeline_->drain();
   publish_pipeline_gauges();
-}
-
-void AnalysisServer::attach_live_routes() {
-  // The exposition server must already be started (CLIs call
-  // start_exposition before constructing the session); handlers run on the
-  // serve thread and synchronize with process_window via live_mu_ inside
-  // the render methods.
-  obs::ExpositionServer* http = opts_.obs->exposition();
-  if (!http) return;
-  http->add_route("/v1/heatmap", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_heatmap_json();
-    return r;
-  });
-  http->add_route("/v1/variance", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_variance_json();
-    return r;
-  });
-  http->add_route("/v1/latency", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_latency_json();
-    return r;
-  });
-  http->add_route("/v1/critical_path", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_critical_path_json();
-    return r;
-  });
-  live_routes_ = {"/v1/heatmap", "/v1/variance", "/v1/latency",
-                  "/v1/critical_path"};
 }
 
 void AnalysisServer::refocus_diagnosis(std::optional<FocusRegion> focus) {
@@ -250,202 +243,187 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   std::lock_guard<std::mutex> live_lock(live_mu_);
   // The window span consumes the producer's handoff flow arrow, so the
   // queue hop is visible in the timeline; stage spans nest inside it.
-  obs::SpanScope window_span({trace, nullptr, spans_dropped, flow_id},
-                             "analysis.window", "server");
-  StageClock clock(opts_.clock);
-  const double queue_wait =
-      (opts_.clock ? opts_.clock : util::real_clock())->now_seconds() -
-      submit_seconds;
-
-  obs::PipelineStats stats;
+  obs::SpanScope window_span({trace, spans_dropped, flow_id}, "analysis.window",
+                             "server");
+  util::Clock* clk = opts_.clock ? opts_.clock : util::real_clock();
+  WindowStages w{clk, clk->now_seconds(), stage_hist_, trace, spans_dropped};
+  obs::PipelineStats& stats = w.stats;
   stats.window = windows_;
   stats.fragments_drained = batch.fragments.size();
   stats.new_states = batch.new_states.size();
-  stats.drain_seconds = drain_seconds;
-  stats.queue_wait_seconds = queue_wait > 0.0 ? queue_wait : 0.0;
+  w.charge(obs::stage_index("queue_wait"),
+           std::max(0.0, clk->now_seconds() - submit_seconds));
+  w.charge(obs::stage_index("drain"), drain_seconds);
 
-  // --- stage: STG growth (vertex/edge ingestion + carry management) ---
-  obs::SpanScope stg_span({trace, nullptr, spans_dropped}, "stage.stg",
-                          "server");
-  for (const sim::InvocationInfo& info : batch.new_states)
-    stg_.touch_vertex(info);
   // Carry-ins from the previous window's tail enter the STG first so
   // indices below `live_begin` are exactly the carried fragments.
   const std::size_t live_begin = overlap_carry_.size();
-  if (live_begin != 0) stg_.adopt_fragments(std::move(overlap_carry_));
-  // One contiguous scan of the end-time column finds the window end, the
-  // overlap cut selects next window's carry candidates, and then the whole
-  // batch is adopted into the STG — an arena swap when there is no carry
-  // (the steady state), never a per-fragment copy.
-  const std::size_t drained = batch.fragments.size();
-  const double* ends = batch.fragments.end_data();
-  double window_end = 0.0;
-  for (std::size_t i = 0; i < drained; ++i)
-    window_end = std::max(window_end, ends[i]);
-  if (opts_.window_overlap_seconds > 0.0) {
-    const double cut = window_end - opts_.window_overlap_seconds;
+  {
+    StageScope stage(w, obs::stage_index("stg"));
+    for (const sim::InvocationInfo& info : batch.new_states)
+      stg_.touch_vertex(info);
+    if (live_begin != 0) stg_.adopt_fragments(std::move(overlap_carry_));
+    // One contiguous scan of the end-time column finds the window end, the
+    // overlap cut selects next window's carry candidates, and then the
+    // whole batch is adopted into the STG — an arena swap when there is no
+    // carry (the steady state), never a per-fragment copy.
+    const std::size_t drained = batch.fragments.size();
+    const double* ends = batch.fragments.end_data();
+    double window_end = 0.0;
     for (std::size_t i = 0; i < drained; ++i)
-      if (ends[i] >= cut)
-        overlap_carry_.push_back(batch.fragments, i);
+      window_end = std::max(window_end, ends[i]);
+    if (opts_.window_overlap_seconds > 0.0) {
+      const double cut = window_end - opts_.window_overlap_seconds;
+      for (std::size_t i = 0; i < drained; ++i)
+        if (ends[i] >= cut) overlap_carry_.push_back(batch.fragments, i);
+    }
+    stg_.adopt_fragments(std::move(batch.fragments));
+    fragments_ += drained;
+    stats.carry_ins = live_begin;
+    stats.virtual_time = window_end;
+    last_virtual_time_ = std::max(last_virtual_time_, window_end);
   }
-  stg_.adopt_fragments(std::move(batch.fragments));
-  fragments_ += drained;
-  stats.carry_ins = live_begin;
-  stats.virtual_time = window_end;
-  last_virtual_time_ = std::max(last_virtual_time_, window_end);
-  stats.stg_seconds = clock.lap();
-  stg_span.finish();
 
-  // --- stage: clustering (Algorithm 1 workers + rare-path scan) ---
-  obs::SpanScope cluster_span({trace, nullptr, spans_dropped}, "stage.cluster",
-                              "server");
   util::WorkerPool* pool = workers_.get();
-  if (pool && VAPRO_FAULT("pipeline.shard") == testing::FaultAction::kFail) {
-    // Injected worker-task failure.  The decision is made HERE, once per
-    // window on the analysis thread — never inside a parallel task, where
-    // which-task-hits-it would depend on scheduling.  One poisoned task
-    // exercises the pool's exception containment, then the whole window
-    // degrades to serial fan-out: byte-identical output (sharding is
-    // equivalence-preserving by design), only the intra-window overlap is
-    // lost.
-    ++shard_faults_;
-    pool->run(1, [](std::size_t, std::size_t) {
-      testing::FaultInjector::throw_if(testing::FaultAction::kThrow,
-                                       "pipeline.shard");
-    });
-    pool = nullptr;
-  }
-  stats.cluster_shards = pool ? pool->lanes() : 1;
-  ClusteringResult clusters = cluster_stg(stg_, opts_.cluster, pool, trace);
-  cluster_span.add_arg(obs::TraceRecorder::arg(
-      "clusters", static_cast<std::uint64_t>(clusters.clusters.size())));
-  cluster_span.add_arg(obs::TraceRecorder::arg(
-      "shards", static_cast<std::uint64_t>(stats.cluster_shards)));
-  rare_clusters_ += clusters.rare_count();
-
-  // Algorithm 1 line 8: surface rare-but-expensive execution paths
-  // (carry-ins were reported by the previous window already).
-  const std::size_t rare_before = rare_findings_.size();
-  for (const Cluster& c : clusters.clusters) {
-    if (!c.rare) continue;
-    RareFinding finding;
-    finding.kind = c.kind;
-    double first_start = 1e300;
-    for (std::size_t idx : c.members) {
-      if (idx < live_begin) continue;
-      const double duration = stg_.fragments().duration(idx);
-      ++finding.executions;
-      finding.total_seconds += duration;
-      finding.longest_seconds = std::max(finding.longest_seconds, duration);
-      first_start = std::min(first_start, stg_.fragments().start_time(idx));
+  ClusteringResult clusters;
+  {
+    // Algorithm 1 workers + the rare-path scan.
+    StageScope stage(w, obs::stage_index("cluster"));
+    if (pool && VAPRO_FAULT("pipeline.shard") == testing::FaultAction::kFail) {
+      // Injected worker-task failure.  The decision is made HERE, once per
+      // window on the analysis thread — never inside a parallel task, where
+      // which-task-hits-it would depend on scheduling.  One poisoned task
+      // exercises the pool's exception containment, then the whole window
+      // degrades to serial fan-out: byte-identical output (sharding is
+      // equivalence-preserving by design), only the intra-window overlap is
+      // lost.
+      ++shard_faults_;
+      pool->run(1, [](std::size_t, std::size_t) {
+        testing::FaultInjector::throw_if(testing::FaultAction::kThrow,
+                                         "pipeline.shard");
+      });
+      pool = nullptr;
     }
-    if (finding.total_seconds < opts_.rare_report_min_seconds) continue;
-    finding.state = c.kind == FragmentKind::kComputation
-                        ? stg_.state_name(c.from) + " -> " + stg_.state_name(c.to)
-                        : stg_.state_name(c.to);
-    finding.window_start = first_start;
-    rare_findings_.push_back(std::move(finding));
-  }
-  if (journal) {
-    // Journal each new finding before the report list is sorted/truncated;
-    // the journal is the complete record, the list the user-facing top-N.
-    for (std::size_t i = rare_before; i < rare_findings_.size(); ++i) {
-      const RareFinding& f = rare_findings_[i];
-      journal->emit(
-          "rare_finding", static_cast<std::int64_t>(stats.window),
-          f.window_start,
-          {obs::JournalField::str("state", f.state),
-           obs::JournalField::str("kind", fragment_kind_name(f.kind)),
-           obs::JournalField::num("executions",
-                                  static_cast<std::uint64_t>(f.executions)),
-           obs::JournalField::num("total_seconds", f.total_seconds),
-           obs::JournalField::num("longest_seconds", f.longest_seconds)});
-    }
-  }
-  if (rare_findings_.size() > opts_.rare_report_limit) {
-    std::sort(rare_findings_.begin(), rare_findings_.end(),
-              [](const RareFinding& a, const RareFinding& b) {
-                return a.total_seconds > b.total_seconds;
-              });
-    rare_findings_.resize(opts_.rare_report_limit);
-  }
-  stats.clusters_formed = clusters.clusters.size();
-  stats.rare_clusters = clusters.rare_count();
-  stats.cluster_seconds = clock.lap();
-  cluster_span.finish();
+    stats.cluster_shards = pool ? pool->lanes() : 1;
+    clusters = cluster_stg(stg_, opts_.cluster, pool, trace);
+    stage.add_arg(obs::TraceRecorder::arg(
+        "clusters", static_cast<std::uint64_t>(clusters.clusters.size())));
+    stage.add_arg(obs::TraceRecorder::arg(
+        "shards", static_cast<std::uint64_t>(stats.cluster_shards)));
+    rare_clusters_ += clusters.rare_count();
 
-  // --- stage: normalization against the cross-window baseline ---
-  obs::SpanScope normalize_span({trace, nullptr, spans_dropped},
-                                "stage.normalize", "server");
-  ClusterBaseline* baseline =
-      opts_.shared_baseline ? opts_.shared_baseline : &baseline_;
-  std::vector<NormalizedFragment> normalized =
-      normalize_fragments(stg_, clusters, baseline, live_begin);
-
-  if (opts_.record_eval_pairs) {
-    // Map each labelled computation fragment to its cluster's stable id.
+    // Algorithm 1 line 8: surface rare-but-expensive execution paths
+    // (carry-ins were reported by the previous window already).
+    const std::size_t rare_before = rare_findings_.size();
     for (const Cluster& c : clusters.clusters) {
-      if (c.kind != FragmentKind::kComputation) continue;
-      const std::uint64_t label = baseline_.key_of(c);
+      if (!c.rare) continue;
+      RareFinding finding;
+      finding.kind = c.kind;
+      double first_start = 1e300;
       for (std::size_t idx : c.members) {
         if (idx < live_begin) continue;
-        const std::int64_t truth = stg_.fragments().truth_class(idx);
-        if (truth < 0) continue;
-        eval_truth_.push_back(static_cast<int>(truth % 1000000007));
-        eval_predicted_.push_back(static_cast<int>(label % 1000000007));
+        const double duration = stg_.fragments().duration(idx);
+        ++finding.executions;
+        finding.total_seconds += duration;
+        finding.longest_seconds = std::max(finding.longest_seconds, duration);
+        first_start = std::min(first_start, stg_.fragments().start_time(idx));
+      }
+      if (finding.total_seconds < opts_.rare_report_min_seconds) continue;
+      finding.state =
+          c.kind == FragmentKind::kComputation
+              ? stg_.state_name(c.from) + " -> " + stg_.state_name(c.to)
+              : stg_.state_name(c.to);
+      finding.window_start = first_start;
+      rare_findings_.push_back(std::move(finding));
+    }
+    if (journal) {
+      // Journal each new finding before the report list is sorted/
+      // truncated; the journal is the complete record, the list the
+      // user-facing top-N.
+      for (std::size_t i = rare_before; i < rare_findings_.size(); ++i) {
+        const RareFinding& f = rare_findings_[i];
+        journal->emit(
+            "rare_finding", static_cast<std::int64_t>(stats.window),
+            f.window_start,
+            {obs::JournalField::str("state", f.state),
+             obs::JournalField::str("kind", fragment_kind_name(f.kind)),
+             obs::JournalField::num("executions",
+                                    static_cast<std::uint64_t>(f.executions)),
+             obs::JournalField::num("total_seconds", f.total_seconds),
+             obs::JournalField::num("longest_seconds", f.longest_seconds)});
+      }
+    }
+    if (rare_findings_.size() > opts_.rare_report_limit) {
+      std::sort(rare_findings_.begin(), rare_findings_.end(),
+                [](const RareFinding& a, const RareFinding& b) {
+                  return a.total_seconds > b.total_seconds;
+                });
+      rare_findings_.resize(opts_.rare_report_limit);
+    }
+    stats.clusters_formed = clusters.clusters.size();
+    stats.rare_clusters = clusters.rare_count();
+  }
+
+  std::vector<NormalizedFragment> normalized;
+  {
+    // Normalization against the cross-window baseline.
+    StageScope stage(w, obs::stage_index("normalize"));
+    ClusterBaseline* baseline =
+        opts_.shared_baseline ? opts_.shared_baseline : &baseline_;
+    normalized = normalize_fragments(stg_, clusters, baseline, live_begin);
+    if (opts_.record_eval_pairs) {
+      // Map each labelled computation fragment to its cluster's stable id.
+      for (const Cluster& c : clusters.clusters) {
+        if (c.kind != FragmentKind::kComputation) continue;
+        const std::uint64_t label = baseline_.key_of(c);
+        for (std::size_t idx : c.members) {
+          if (idx < live_begin) continue;
+          const std::int64_t truth = stg_.fragments().truth_class(idx);
+          if (truth < 0) continue;
+          eval_truth_.push_back(static_cast<int>(truth % 1000000007));
+          eval_predicted_.push_back(static_cast<int>(label % 1000000007));
+        }
       }
     }
   }
-  stats.normalize_seconds = clock.lap();
-  normalize_span.finish();
 
-  // --- stage: heat-map deposit + coverage accounting ---
   {
-    obs::SpanScope deposit_span({trace, nullptr, spans_dropped},
-                                "stage.deposit", "server");
+    // Heat-map deposit + coverage accounting.
+    StageScope stage(w, obs::stage_index("deposit"));
     deposit_fragments(normalized, comp_map_, comm_map_, io_map_);
     coverage_.add(stg_, clusters, live_begin);
-    stats.deposit_seconds = clock.lap();
   }
 
-  // --- stage: progressive diagnosis + observer hooks ---
   {
-    obs::SpanScope diagnose_span({trace, nullptr, spans_dropped},
-                                 "stage.diagnose", "server");
+    // Progressive diagnosis + observer hooks.
+    StageScope stage(w, obs::stage_index("diagnose"));
     if (opts_.run_diagnosis) diagnoser_.feed(stg_, clusters, live_begin);
     if (opts_.window_observer) opts_.window_observer(stg_, clusters);
-
     stg_.clear_fragments();
     ++windows_;
     stats.diagnosis_stage = diagnoser_.stage();
-    stats.diagnose_seconds = clock.lap();
   }
 
-  // --- stage: publish (region growing, health gauges, journal events) ---
-  if (obs && opts_.live_detection) {
-    obs::SpanScope publish_span({trace, nullptr, spans_dropped},
-                                "stage.publish", "server");
-    if (VAPRO_FAULT("server.window") == testing::FaultAction::kFail)
-      // Live publish lost for this window (journal/gauges skip a beat);
-      // the final journal_detection_snapshot still recovers every region.
-      ++publish_faults_;
-    else
-      publish_detection(stats, pool);
+  {
+    // Region growing, health gauges and journal events (live detection).
+    StageScope stage(w, obs::stage_index("publish"));
+    if (obs && opts_.live_detection) {
+      if (VAPRO_FAULT("server.window") == testing::FaultAction::kFail)
+        // Live publish lost for this window (journal/gauges skip a beat);
+        // the final journal_detection_snapshot still recovers every region.
+        ++publish_faults_;
+      else
+        publish_detection(stats, pool);
+    }
   }
-  stats.publish_seconds = clock.lap();
   // Everything but the producer-side drain is analysis-stage occupancy.
   analysis_busy_seconds_ += stats.total_seconds() - stats.drain_seconds;
 
   // Fold this window into the critical-path reducer: "window N was bound
   // by stage X for Y ms".  Tracked always; journaled (as a measurement
   // event, distinct from detection conclusions) when live detection is on.
-  obs::WindowLatencyRecord latency_record;
-  latency_record.window = static_cast<std::int64_t>(stats.window);
-  latency_record.virtual_time = stats.virtual_time;
-  latency_record.stage_seconds = {
-      stats.queue_wait_seconds, stats.drain_seconds,    stats.stg_seconds,
-      stats.cluster_seconds,    stats.normalize_seconds, stats.deposit_seconds,
-      stats.diagnose_seconds,   stats.publish_seconds};
+  const obs::WindowLatencyRecord latency_record =
+      obs::WindowLatencyRecord::of(stats);
   latency_.record(latency_record);
   if (journal && opts_.live_detection)
     obs::journal_window_latency(*journal, latency_record);
@@ -460,21 +438,6 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     m.gauge("vapro.server.diagnosis_stage")
         ->set(static_cast<double>(stats.diagnosis_stage));
     m.histogram("vapro.server.window_seconds")->record(stats.total_seconds());
-    m.histogram("vapro.server.queue_wait_seconds")
-        ->record(stats.queue_wait_seconds);
-    m.histogram("vapro.server.stage.drain_seconds")
-        ->record(stats.drain_seconds);
-    m.histogram("vapro.server.stage.stg_seconds")->record(stats.stg_seconds);
-    m.histogram("vapro.server.stage.cluster_seconds")
-        ->record(stats.cluster_seconds);
-    m.histogram("vapro.server.stage.normalize_seconds")
-        ->record(stats.normalize_seconds);
-    m.histogram("vapro.server.stage.deposit_seconds")
-        ->record(stats.deposit_seconds);
-    m.histogram("vapro.server.stage.diagnose_seconds")
-        ->record(stats.diagnose_seconds);
-    m.histogram("vapro.server.stage.publish_seconds")
-        ->record(stats.publish_seconds);
     obs->emit_window(stats);
     window_span.add_arg(obs::TraceRecorder::arg(
         "window", static_cast<std::uint64_t>(stats.window)));

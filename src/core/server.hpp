@@ -9,10 +9,12 @@
 // (Table 2).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -219,7 +221,6 @@ class AnalysisServer {
   std::string render_critical_path_json() const;
 
  private:
-  void attach_live_routes();
   // The full analysis body (STG growth → clustering → normalization →
   // deposit → diagnosis) for one window.  Runs on the caller at
   // pipeline_depth 1, on the single pipeline worker otherwise.
@@ -278,9 +279,12 @@ class AnalysisServer {
   // Serializes process_window against concurrent /v1 scrapes; route
   // handlers and journal_detection_snapshot take it too.
   mutable std::mutex live_mu_;
-  std::vector<std::string> live_routes_;
   double last_virtual_time_ = 0.0;
   mutable RegionJournal region_journal_;
+  // Per-stage histograms, indexed per obs::kStages (null without obs).
+  std::array<obs::Histogram*, obs::kStages.size()> stage_hist_{};
+  // Last member: the /v1 routes go before anything their handlers read.
+  std::optional<LiveRoutes> live_routes_;
 };
 
 }  // namespace vapro::core

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/obs/exposition.hpp"
 #include "src/testing/fault.hpp"
 #include "src/util/check.hpp"
 
@@ -35,44 +34,7 @@ ServerGroup::ServerGroup(int ranks, int servers, ServerOptions opts)
   leaves_.reserve(static_cast<std::size_t>(servers));
   for (int s = 0; s < servers; ++s)
     leaves_.push_back(std::make_unique<AnalysisServer>(ranks, opts));
-  if (obs_ && live_detection_) attach_live_routes();
-}
-
-ServerGroup::~ServerGroup() {
-  if (!obs_ || live_routes_.empty()) return;
-  if (obs::ExpositionServer* http = obs_->exposition())
-    for (const std::string& path : live_routes_) http->remove_route(path);
-}
-
-void ServerGroup::attach_live_routes() {
-  obs::ExpositionServer* http = obs_->exposition();
-  if (!http) return;
-  http->add_route("/v1/heatmap", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_heatmap_json();
-    return r;
-  });
-  http->add_route("/v1/variance", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_variance_json();
-    return r;
-  });
-  http->add_route("/v1/latency", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_latency_json();
-    return r;
-  });
-  http->add_route("/v1/critical_path", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_critical_path_json();
-    return r;
-  });
-  live_routes_ = {"/v1/heatmap", "/v1/variance", "/v1/latency",
-                  "/v1/critical_path"};
+  if (obs_ && live_detection_) live_routes_.emplace(obs_->exposition(), this);
 }
 
 void ServerGroup::process_window(FragmentBatch batch) {
@@ -210,26 +172,24 @@ std::string ServerGroup::render_variance_json() const {
 }
 
 std::string ServerGroup::render_latency_json() const {
+  return per_leaf_json("latency", &AnalysisServer::render_latency_json);
+}
+
+std::string ServerGroup::render_critical_path_json() const {
+  return per_leaf_json("critical_path",
+                       &AnalysisServer::render_critical_path_json);
+}
+
+std::string ServerGroup::per_leaf_json(
+    const char* key, std::string (AnalysisServer::*render)() const) const {
   // Leaf trackers carry their own locks; no group lock needed, and a
   // mid-window scrape simply sees each shard's progress so far.
   std::ostringstream oss;
   oss << "{\"servers\":[";
   for (std::size_t i = 0; i < leaves_.size(); ++i) {
     if (i) oss << ',';
-    oss << "{\"server\":" << i
-        << ",\"latency\":" << leaves_[i]->render_latency_json() << '}';
-  }
-  oss << "]}";
-  return oss.str();
-}
-
-std::string ServerGroup::render_critical_path_json() const {
-  std::ostringstream oss;
-  oss << "{\"servers\":[";
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    if (i) oss << ',';
-    oss << "{\"server\":" << i << ",\"critical_path\":"
-        << leaves_[i]->render_critical_path_json() << '}';
+    oss << "{\"server\":" << i << ",\"" << key
+        << "\":" << (leaves_[i].get()->*render)() << '}';
   }
   oss << "]}";
   return oss.str();

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,6 @@ class ServerGroup {
   // merged detection gauges, journal events, and /v1 routes itself, so the
   // shards don't each overwrite them with partial views.
   ServerGroup(int ranks, int servers, ServerOptions opts);
-  ~ServerGroup();
 
   // Splits the batch by rank shard and processes all shards concurrently.
   // With pipeline_depth > 1 the shards are handed to the leaves' analysis
@@ -77,7 +77,9 @@ class ServerGroup {
   std::string render_critical_path_json() const;
 
  private:
-  void attach_live_routes();
+  // {"servers":[{"server":i,"<key>":<leaf i's render()>},...]}.
+  std::string per_leaf_json(
+      const char* key, std::string (AnalysisServer::*render)() const) const;
   void publish_detection(std::int64_t window, double virtual_time,
                          std::uint64_t fragments);
 
@@ -91,11 +93,12 @@ class ServerGroup {
   // Serializes process_window (including its leaf threads) against /v1
   // scrapes and journal_detection_snapshot.
   mutable std::mutex live_mu_;
-  std::vector<std::string> live_routes_;
   std::size_t windows_ = 0;
   std::size_t merge_faults_ = 0;
   double last_virtual_time_ = 0.0;
   mutable RegionJournal region_journal_;
+  // Last member: the /v1 routes go before anything their handlers read.
+  std::optional<LiveRoutes> live_routes_;
 };
 
 }  // namespace vapro::core

@@ -25,15 +25,24 @@ void append_record_json(std::ostringstream& oss,
                         const WindowLatencyRecord& r) {
   oss << "{\"window\":" << r.window
       << ",\"virtual_time\":" << fmt_num(r.virtual_time);
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
-    oss << ",\"" << kLatencyStageNames[s]
-        << "_seconds\":" << fmt_num(r.stage_seconds[s]);
+  for (std::size_t s = 0; s < kStages.size(); ++s)
+    oss << ",\"" << kStages[s].name << "_seconds\":"
+        << fmt_num(r.stage_seconds[s]);
   oss << ",\"bound_by\":\"" << r.bound_by()
       << "\",\"bound_seconds\":" << fmt_num(r.bound_seconds())
       << ",\"total_seconds\":" << fmt_num(r.total_seconds()) << '}';
 }
 
 }  // namespace
+
+WindowLatencyRecord WindowLatencyRecord::of(const PipelineStats& stats) {
+  WindowLatencyRecord r;
+  r.window = static_cast<std::int64_t>(stats.window);
+  r.virtual_time = stats.virtual_time;
+  for (std::size_t s = 0; s < kStages.size(); ++s)
+    r.stage_seconds[s] = stats.*kStages[s].seconds;
+  return r;
+}
 
 double WindowLatencyRecord::total_seconds() const {
   double total = 0.0;
@@ -43,7 +52,7 @@ double WindowLatencyRecord::total_seconds() const {
 
 std::size_t WindowLatencyRecord::bound_stage() const {
   std::size_t best = 0;
-  for (std::size_t s = 1; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 1; s < kStages.size(); ++s)
     if (stage_seconds[s] > stage_seconds[best]) best = s;
   return best;
 }
@@ -54,15 +63,15 @@ void CriticalPathTracker::record(const WindowLatencyRecord& r) {
   while (recent_.size() > keep_) recent_.pop_front();
   ++sum_.windows;
   sum_.total_seconds += r.total_seconds();
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 0; s < kStages.size(); ++s)
     sum_.stage_seconds[s] += r.stage_seconds[s];
   ++sum_.bound_windows[r.bound_stage()];
 }
 
 std::size_t CriticalPathTracker::Summary::dominant_stage() const {
-  if (windows == 0) return kLatencyStageCount;
+  if (windows == 0) return kStages.size();
   std::size_t best = 0;
-  for (std::size_t s = 1; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 1; s < kStages.size(); ++s)
     if (bound_windows[s] > bound_windows[best]) best = s;
   return best;
 }
@@ -98,14 +107,14 @@ std::string render_critical_path_json(
   std::ostringstream oss;
   const std::size_t dom = sum.dominant_stage();
   oss << "{\"windows\":" << sum.windows << ",\"dominant\":";
-  if (dom < kLatencyStageCount)
-    oss << '"' << kLatencyStageNames[dom] << '"';
+  if (dom < kStages.size())
+    oss << '"' << kStages[dom].name << '"';
   else
     oss << "null";
   oss << ",\"stages\":[";
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
+  for (std::size_t s = 0; s < kStages.size(); ++s) {
     if (s) oss << ',';
-    oss << "{\"stage\":\"" << kLatencyStageNames[s]
+    oss << "{\"stage\":\"" << kStages[s].name
         << "\",\"seconds\":" << fmt_num(sum.stage_seconds[s])
         << ",\"bound_windows\":" << sum.bound_windows[s] << '}';
   }
@@ -144,22 +153,22 @@ std::string render_critical_path_table(
   }
   const std::size_t dom = sum.dominant_stage();
   oss << "  stage totals:";
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
-    oss << (s ? " | " : " ") << kLatencyStageNames[s] << ' '
+  for (std::size_t s = 0; s < kStages.size(); ++s) {
+    oss << (s ? " | " : " ") << kStages[s].name << ' '
         << fmt_ms(sum.stage_seconds[s]) << "ms (" << sum.bound_windows[s]
         << " bound)";
   }
   oss << "\n  dominant stage: "
-      << (dom < kLatencyStageCount ? kLatencyStageNames[dom] : "none") << '\n';
+      << (dom < kStages.size() ? kStages[dom].name : "none") << '\n';
   return oss.str();
 }
 
 void journal_window_latency(Journal& journal, const WindowLatencyRecord& r) {
   std::vector<JournalField> fields;
-  fields.reserve(kLatencyStageCount + 2);
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
+  fields.reserve(kStages.size() + 2);
+  for (std::size_t s = 0; s < kStages.size(); ++s)
     fields.push_back(JournalField::num(
-        std::string(kLatencyStageNames[s]) + "_seconds", r.stage_seconds[s]));
+        std::string(kStages[s].name) + "_seconds", r.stage_seconds[s]));
   fields.push_back(JournalField::str("bound_by", r.bound_by()));
   fields.push_back(JournalField::num("bound_seconds", r.bound_seconds()));
   journal.emit("window_latency", r.window, r.virtual_time, std::move(fields));
@@ -171,17 +180,16 @@ void journal_critical_path(Journal& journal, std::int64_t last_window,
   std::vector<JournalField> fields;
   fields.push_back(JournalField::num("windows", sum.windows));
   fields.push_back(JournalField::num("total_seconds", sum.total_seconds));
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
+  for (std::size_t s = 0; s < kStages.size(); ++s) {
     fields.push_back(JournalField::num(
-        std::string(kLatencyStageNames[s]) + "_seconds",
-        sum.stage_seconds[s]));
+        std::string(kStages[s].name) + "_seconds", sum.stage_seconds[s]));
     fields.push_back(JournalField::num(
-        std::string(kLatencyStageNames[s]) + "_bound_windows",
+        std::string(kStages[s].name) + "_bound_windows",
         sum.bound_windows[s]));
   }
   const std::size_t dom = sum.dominant_stage();
   fields.push_back(JournalField::str(
-      "dominant", dom < kLatencyStageCount ? kLatencyStageNames[dom] : ""));
+      "dominant", dom < kStages.size() ? kStages[dom].name : ""));
   journal.emit("critical_path", last_window, virtual_time, std::move(fields));
 }
 
@@ -189,9 +197,9 @@ WindowLatencyRecord window_latency_from_event(const JournalEvent& event) {
   WindowLatencyRecord r;
   r.window = event.window;
   r.virtual_time = event.virtual_time;
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 0; s < kStages.size(); ++s)
     r.stage_seconds[s] =
-        event.number(std::string(kLatencyStageNames[s]) + "_seconds");
+        event.number(std::string(kStages[s].name) + "_seconds");
   return r;
 }
 

@@ -1,9 +1,9 @@
 // Per-window critical-path attribution — the self-diagnosis reducer.
 //
 // Every analyzed window yields one WindowLatencyRecord: where its wall
-// time went across the canonical pipeline stages (queue wait → drain → STG
-// growth → clustering → normalization → heat-map deposit → diagnosis →
-// publish/journal).  The record's verdict is bound_by(): "window N was
+// time went across the pipeline stages of obs::kStages (queue wait → drain
+// → STG growth → clustering → normalization → heat-map deposit → diagnosis
+// → publish/journal).  The record's verdict is bound_by(): "window N was
 // bound by stage X for Y ms", with ties broken toward the earlier stage in
 // canonical order so attribution is deterministic.
 //
@@ -25,25 +25,23 @@
 #include <vector>
 
 #include "src/obs/journal.hpp"
+#include "src/obs/pipeline.hpp"
 
 namespace vapro::obs {
-
-// Canonical stage order.  Earlier stage wins ties in bound_stage().
-inline constexpr std::size_t kLatencyStageCount = 8;
-inline constexpr const char* kLatencyStageNames[kLatencyStageCount] = {
-    "queue_wait", "drain",   "stg",      "cluster",
-    "normalize",  "deposit", "diagnose", "publish"};
 
 struct WindowLatencyRecord {
   std::int64_t window = 0;
   double virtual_time = 0.0;
-  // Stage seconds, indexed per kLatencyStageNames.
-  std::array<double, kLatencyStageCount> stage_seconds{};
+  // Stage seconds, indexed per kStages.
+  std::array<double, kStages.size()> stage_seconds{};
+
+  // The record of one analyzed window's stats.
+  static WindowLatencyRecord of(const PipelineStats& stats);
 
   double total_seconds() const;
   // Index of the dominant stage (first maximum in canonical order).
   std::size_t bound_stage() const;
-  const char* bound_by() const { return kLatencyStageNames[bound_stage()]; }
+  const char* bound_by() const { return kStages[bound_stage()].name; }
   double bound_seconds() const { return stage_seconds[bound_stage()]; }
 };
 
@@ -59,11 +57,11 @@ class CriticalPathTracker {
   struct Summary {
     std::uint64_t windows = 0;
     double total_seconds = 0.0;
-    std::array<double, kLatencyStageCount> stage_seconds{};
+    std::array<double, kStages.size()> stage_seconds{};
     // How many windows each stage dominated.
-    std::array<std::uint64_t, kLatencyStageCount> bound_windows{};
+    std::array<std::uint64_t, kStages.size()> bound_windows{};
     // Stage that dominated the most windows (ties → earlier stage);
-    // kLatencyStageCount when no window was recorded yet.
+    // kStages.size() when no window was recorded yet.
     std::size_t dominant_stage() const;
   };
 

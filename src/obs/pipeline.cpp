@@ -33,14 +33,7 @@ PipelineStats CollectingSink::totals() const {
     t.clusters_formed += w.clusters_formed;
     t.rare_clusters += w.rare_clusters;
     t.cluster_shards = w.cluster_shards;  // a config, not a volume: keep last
-    t.drain_seconds += w.drain_seconds;
-    t.stg_seconds += w.stg_seconds;
-    t.cluster_seconds += w.cluster_seconds;
-    t.normalize_seconds += w.normalize_seconds;
-    t.deposit_seconds += w.deposit_seconds;
-    t.diagnose_seconds += w.diagnose_seconds;
-    t.publish_seconds += w.publish_seconds;
-    t.queue_wait_seconds += w.queue_wait_seconds;
+    for (const Stage& stage : kStages) t.*stage.seconds += w.*stage.seconds;
   }
   return t;
 }
@@ -61,18 +54,10 @@ std::string CollectingSink::to_json() const {
         << ",\"rare_clusters\":" << w.rare_clusters
         << ",\"cluster_shards\":" << w.cluster_shards
         << ",\"diagnosis_stage\":" << w.diagnosis_stage << ",\"stages\":{";
-    const std::pair<const char*, double> stages[] = {
-        {"drain", w.drain_seconds},       {"stg", w.stg_seconds},
-        {"cluster", w.cluster_seconds},   {"normalize", w.normalize_seconds},
-        {"deposit", w.deposit_seconds},   {"diagnose", w.diagnose_seconds},
-        {"publish", w.publish_seconds},   {"queue_wait", w.queue_wait_seconds},
-    };
-    bool sfirst = true;
-    for (const auto& [name, secs] : stages) {
-      if (!sfirst) oss << ',';
-      sfirst = false;
-      oss << '"' << name << "\":";
-      append_double(oss, secs);
+    for (std::size_t s = 0; s < kStages.size(); ++s) {
+      if (s) oss << ',';
+      oss << '"' << kStages[s].name << "\":";
+      append_double(oss, w.*kStages[s].seconds);
     }
     oss << "},\"total_seconds\":";
     append_double(oss, w.total_seconds());

@@ -21,7 +21,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       ++i;
       values_.emplace(arg, Value{argv[i], i});
     } else {
-      values_.emplace(arg, Value{"true"});  // boolean switch
+      values_.emplace(arg, Value{"true", 0, true});  // boolean switch
     }
   }
 }
@@ -31,26 +31,30 @@ bool CliArgs::has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
-std::string CliArgs::get(const std::string& key,
-                         const std::string& fallback) const {
+const CliArgs::Value* CliArgs::find_value(const std::string& key) const {
   read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second.text;
+  if (it == values_.end()) return nullptr;
+  if (!it->second.bare) return &it->second;
+  valueless_.insert(key);
+  return nullptr;
+}
+
+std::string CliArgs::get(const std::string& key,
+                         const std::string& fallback) const {
+  const Value* v = find_value(key);
+  return v ? v->text : fallback;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback
-                             : std::strtod(it->second.text.c_str(), nullptr);
+  const Value* v = find_value(key);
+  return v ? std::strtod(v->text.c_str(), nullptr) : fallback;
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback
-                             : static_cast<int>(std::strtol(
-                                   it->second.text.c_str(), nullptr, 10));
+  const Value* v = find_value(key);
+  return v ? static_cast<int>(std::strtol(v->text.c_str(), nullptr, 10))
+           : fallback;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
@@ -67,7 +71,7 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   positionals_.insert(positionals_.begin() + (at - positional_args_.begin()),
                       v.text);
   positional_args_.insert(at, v.next_arg);
-  v = Value{"true"};
+  v = Value{"true", 0, true};
   return true;
 }
 
@@ -75,7 +79,12 @@ std::vector<std::string> CliArgs::get_all(const std::string& key) const {
   read_.insert(key);
   std::vector<std::string> out;
   auto [lo, hi] = values_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second.text);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second.bare)
+      valueless_.insert(key);
+    else
+      out.push_back(it->second.text);
+  }
   return out;
 }
 

@@ -58,6 +58,32 @@ TEST(Cli, BooleanSwitchHandsBackTheNextPositional) {
   EXPECT_TRUE(valued.positionals().empty());
 }
 
+TEST(Cli, BareStringFlagIsAUsageError) {
+  // A value flag given bare reads as its fallback, never as "true", and
+  // is named by valueless() so the tool can exit before any work.
+  auto args = parse({"--app=CG", "--metrics-out", "--ranks", "--noise",
+                     "--json"});
+  EXPECT_EQ(args.get("metrics-out", ""), "");
+  EXPECT_EQ(args.get_int("ranks", 64), 64);
+  EXPECT_TRUE(args.get_all("noise").empty());
+  EXPECT_EQ(args.get("app", ""), "CG");
+  // A bare switch is still a switch, and not a missing value.
+  EXPECT_TRUE(args.get_bool("json"));
+  EXPECT_EQ(args.valueless(),
+            (std::vector<std::string>{"metrics-out", "noise", "ranks"}));
+  EXPECT_TRUE(args.unread().empty());
+  // "DIR --from-journal": the flag has no value; DIR stays a positional.
+  auto replay = parse({"jd", "--from-journal"});
+  EXPECT_EQ(replay.get("from-journal", ""), "");
+  EXPECT_EQ(replay.valueless(), (std::vector<std::string>{"from-journal"}));
+  EXPECT_EQ(replay.positionals(), (std::vector<std::string>{"jd"}));
+  // Given values are never valueless.
+  auto given = parse({"--metrics-out=m.json", "--from-journal", "jd"});
+  EXPECT_EQ(given.get("metrics-out", ""), "m.json");
+  EXPECT_EQ(given.get("from-journal", ""), "jd");
+  EXPECT_TRUE(given.valueless().empty());
+}
+
 TEST(Cli, RepeatableFlags) {
   auto args = parse({"--noise=cpu:1:0:1:1", "--noise=mem:2:0:1:3"});
   auto noises = args.get_all("noise");

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/apps/npb.hpp"
+#include "src/core/server_group.hpp"
 #include "src/core/vapro.hpp"
 #include "src/obs/context.hpp"
 #include "src/obs/exposition.hpp"
@@ -459,6 +460,36 @@ TEST(Exposition, ConcurrentScrapeDuringAnalysis) {
   ASSERT_TRUE(critical.ok);
   EXPECT_NE(critical.body.find("\"dominant\":\""), std::string::npos)
       << critical.body;
+}
+
+// A ServerGroup serves the same four /v1 routes as a single server, from
+// its merged root view, and takes them down when it is destroyed.
+TEST(Exposition, ServerGroupServesAndRemovesTheLiveRoutes) {
+  obs::ObsContext ctx;
+  std::string error;
+  ASSERT_NE(ctx.start_exposition(0, &error), nullptr) << error;
+  const int port = ctx.exposition()->port();
+  const char* kRoutes[] = {"/v1/heatmap", "/v1/variance", "/v1/latency",
+                           "/v1/critical_path"};
+  {
+    core::ServerOptions opts;
+    opts.obs = &ctx;
+    core::ServerGroup group(/*ranks=*/8, /*servers=*/2, opts);
+    group.process_window(core::FragmentBatch{});
+    for (const char* path : kRoutes) {
+      HttpReply reply = http_get(port, path);
+      ASSERT_TRUE(reply.ok) << path;
+      EXPECT_EQ(reply.status, 200) << path;
+      EXPECT_EQ(reply.content_type, "application/json") << path;
+    }
+    HttpReply latency = http_get(port, "/v1/latency");
+    EXPECT_EQ(latency.body.rfind("{\"servers\":[", 0), 0u) << latency.body;
+  }
+  for (const char* path : kRoutes) {
+    HttpReply reply = http_get(port, path);
+    ASSERT_TRUE(reply.ok) << path;
+    EXPECT_EQ(reply.status, 404) << path;
+  }
 }
 
 }  // namespace

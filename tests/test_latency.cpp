@@ -52,7 +52,7 @@ TEST(WindowLatency, BoundStageIsTheFirstMaximumInCanonicalOrder) {
 
 TEST(WindowLatency, TrackerKeepsARingAndCumulativeTotals) {
   CriticalPathTracker tracker(/*keep=*/4);
-  EXPECT_EQ(tracker.summary().dominant_stage(), kLatencyStageCount);
+  EXPECT_EQ(tracker.summary().dominant_stage(), kStages.size());
   EXPECT_TRUE(tracker.recent().empty());
 
   for (int w = 0; w < 10; ++w) {
@@ -84,9 +84,9 @@ TEST(WindowLatency, RenderersNameEveryStageAndTheDominantOne) {
       render_critical_path_json(tracker.recent(), tracker.summary());
   const std::string table =
       render_critical_path_table(tracker.recent(), tracker.summary());
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
-    EXPECT_NE(critical.find(kLatencyStageNames[s]), std::string::npos)
-        << kLatencyStageNames[s];
+  for (std::size_t s = 0; s < kStages.size(); ++s) {
+    EXPECT_NE(critical.find(kStages[s].name), std::string::npos)
+        << kStages[s].name;
   }
   EXPECT_NE(latency.find("\"bound_by\":\"stg\""), std::string::npos) << latency;
   EXPECT_NE(critical.find("\"dominant\":\"stg\""), std::string::npos)
@@ -125,9 +125,9 @@ TEST(WindowLatency, JournalEventsRoundTripBitExactly) {
   const WindowLatencyRecord back = window_latency_from_event(sink.events[0]);
   EXPECT_EQ(back.window, r.window);
   EXPECT_EQ(back.virtual_time, r.virtual_time);  // bit-exact, not NEAR
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 0; s < kStages.size(); ++s)
     EXPECT_EQ(back.stage_seconds[s], r.stage_seconds[s])
-        << kLatencyStageNames[s];
+        << kStages[s].name;
 
   CriticalPathTracker replay;
   replay.record(back);

@@ -456,6 +456,19 @@ TEST(ObsSession, PipelineStatsMatchSessionAndStagesSumToTotals) {
   }
   EXPECT_EQ(window_events, windows.size());
   EXPECT_GT(shard_events, 0u);
+  // Every stage histogram saw every window, and every stage but the queue
+  // wait (drawn as the handoff flow arrow) spanned every window once.
+  for (const Stage& stage : kStages) {
+    const std::string name = stage.name;
+    const std::string hist = name == "queue_wait"
+                                 ? "vapro.server.queue_wait_seconds"
+                                 : "vapro.server.stage." + name + "_seconds";
+    EXPECT_EQ(ctx.metrics().histogram(hist)->count(), windows.size()) << name;
+    std::size_t spans = 0;
+    for (const ChromeEvent& ev : ctx.trace()->snapshot())
+      if (ev.name == "stage." + name && ev.phase == 'X') ++spans;
+    EXPECT_EQ(spans, name == "queue_wait" ? 0u : windows.size()) << name;
+  }
   // Every window fanned out over the server's persistent 4-lane pool.
   for (const PipelineStats& w : windows) EXPECT_EQ(w.cluster_shards, 4u);
   EXPECT_TRUE(JsonScanner(ctx.trace()->to_json()).valid());

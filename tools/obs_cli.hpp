@@ -36,13 +36,17 @@
 namespace vapro::tools {
 
 // Call once every flag the tool understands has been read: prints each
-// flag given but never read (a typo or a retired flag) and returns false,
-// so the tool can exit 2 before doing any work.
+// flag given but never read (a typo or a retired flag) and each value flag
+// given bare ("--metrics-out" with no file), and returns false, so the
+// tool can exit 2 before doing any work.
 inline bool reject_unread_flags(const util::CliArgs& args) {
   const std::vector<std::string> unread = args.unread();
+  const std::vector<std::string> valueless = args.valueless();
   for (const std::string& flag : unread)
     std::cerr << "unknown flag --" << flag << "\n";
-  return unread.empty();
+  for (const std::string& flag : valueless)
+    std::cerr << "--" << flag << " needs a value\n";
+  return unread.empty() && valueless.empty();
 }
 
 // Shared analysis-pipeline flags for vapro_run / vapro_replay / vapro_stress:

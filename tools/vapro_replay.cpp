@@ -37,12 +37,7 @@
 int main(int argc, char** argv) {
   using namespace vapro;
   util::CliArgs args(argc, argv);
-  // Both `--from-journal FILE` (FILE parses as the flag value) and
-  // `FILE --from-journal` (FILE parses as a positional) are accepted.
-  std::string journal_in = args.get("from-journal", "");
-  if (args.has("from-journal") && journal_in.empty() &&
-      !args.positionals().empty())
-    journal_in = args.positionals()[0];
+  const std::string journal_in = args.get("from-journal", "");
 
   const std::string compact_src = args.get("compact-journal", "");
   const std::string compact_dst = args.get("compact-out", "");
