@@ -169,11 +169,9 @@ void AnalysisServer::publish_pipeline_gauges() const {
   if (pipeline_) {
     m.gauge("vapro.pipeline.queue_depth")
         ->set(static_cast<double>(pipeline_->depth()));
+    // Wait-time attribution: producer-block (stall) vs consumer-idle vs
+    // queued time.
     m.gauge("vapro.pipeline.stall_seconds")->set(pipeline_->stall_seconds());
-    // Wait-time attribution: producer-block vs consumer-idle vs queued
-    // time.
-    m.gauge("vapro.pipeline.producer_block_seconds")
-        ->set(pipeline_->stall_seconds());
     m.gauge("vapro.pipeline.consumer_idle_seconds")
         ->set(pipeline_->idle_seconds());
     m.gauge("vapro.pipeline.handoff_wait_seconds")

@@ -39,7 +39,10 @@ ServerGroup::ServerGroup(int ranks, int servers, ServerOptions opts)
 
 void ServerGroup::process_window(FragmentBatch batch) {
   obs::TraceRecorder* trace = obs_ ? obs_->trace() : nullptr;
-  obs::ToolTimeScope tool_time(obs_ ? &obs_->overhead() : nullptr);
+  // The group charges tool time only for its own demux and merged publish:
+  // each leaf charges its analysis to the same accountant, so timing the
+  // leaf hand-off or join here would count the leaves' work twice.
+  obs::OverheadAccountant* overhead = obs_ ? &obs_->overhead() : nullptr;
   // Held across the leaf threads so /v1 scrapes see whole windows.
   std::lock_guard<std::mutex> live_lock(live_mu_);
   const std::uint64_t t0 = trace ? trace->now_ns() : 0;
@@ -47,20 +50,23 @@ void ServerGroup::process_window(FragmentBatch batch) {
 
   const int n = servers();
   std::vector<FragmentBatch> shards(static_cast<std::size_t>(n));
-  // State announcements go to every leaf (cheap, idempotent).
-  for (auto& shard : shards) shard.new_states = batch.new_states;
-  // Demux by rank with two contiguous column scans (window end, then
-  // shard routing); each shard's columns receive the fragment via a row
-  // copy — the shard batch then moves into its leaf's pipeline by arena
-  // swap.
   double window_end = 0.0;
-  const double* ends = batch.fragments.end_data();
-  for (std::size_t i = 0; i < total_fragments; ++i)
-    window_end = std::max(window_end, ends[i]);
-  const sim::RankId* ranks = batch.fragments.rank_data();
-  for (std::size_t i = 0; i < total_fragments; ++i)
-    shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
-        batch.fragments, i);
+  {
+    obs::ToolTimeScope tool_time(overhead);
+    // State announcements go to every leaf (cheap, idempotent).
+    for (auto& shard : shards) shard.new_states = batch.new_states;
+    // Demux by rank with two contiguous column scans (window end, then
+    // shard routing); each shard's columns receive the fragment via a row
+    // copy — the shard batch then moves into its leaf's pipeline by arena
+    // swap.
+    const double* ends = batch.fragments.end_data();
+    for (std::size_t i = 0; i < total_fragments; ++i)
+      window_end = std::max(window_end, ends[i]);
+    const sim::RankId* ranks = batch.fragments.rank_data();
+    for (std::size_t i = 0; i < total_fragments; ++i)
+      shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
+          batch.fragments, i);
+  }
   if (pipelined_) {
     // Pipelined leaves already own an analysis worker each: hand every
     // shard to its leaf's pipeline (the hand-off only blocks for
@@ -86,6 +92,7 @@ void ServerGroup::process_window(FragmentBatch batch) {
     for (auto& t : pool) t.join();
   }
 
+  obs::ToolTimeScope tool_time(overhead);
   last_virtual_time_ = std::max(last_virtual_time_, window_end);
   if (obs_) {
     obs_->metrics().counter("vapro.group.windows_total")->inc();

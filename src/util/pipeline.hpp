@@ -1,26 +1,28 @@
 // Staged concurrent pipeline primitives (paper §5: overlap window drain
 // with window analysis so slot times stop stacking).
 //
-// Three building blocks:
+// Three building blocks, the second built on the first:
 //
-//   * BoundedQueue<T> — a bounded multi-producer/single-consumer queue
-//     whose push() BLOCKS while the queue is full.  That blocking is the
-//     backpressure contract: a producer that outruns the analysis stage is
-//     throttled to the consumer's pace instead of growing an unbounded
-//     backlog.  Wait time is accounted per side (via an injectable
-//     util::Clock) so a stall is attributed to a STAGE, not just summed:
-//     producer-block (push on a full queue — the consumer is the
-//     bottleneck), consumer-idle (pop on an empty queue — the producer is
-//     the bottleneck), and per-item handoff latency (enqueue → dequeue —
-//     how long work sat in the queue).
+//   * BoundedQueue<T> — the one bounded blocking FIFO: multi-producer,
+//     single-consumer, and push() BLOCKS while the queue is full.  That
+//     blocking is the backpressure contract: a producer that outruns the
+//     analysis stage is throttled to the consumer's pace instead of
+//     growing an unbounded backlog.  Wait time is accounted per side (via
+//     an injectable util::Clock) so a stall is attributed to a STAGE, not
+//     just summed: producer-block (push on a full queue — the consumer is
+//     the bottleneck), consumer-idle (pop on an empty queue — the producer
+//     is the bottleneck), and per-item handoff latency (enqueue → dequeue —
+//     how long work sat in the queue).  net::TenantSession's ingest and
+//     StageExecutor both run on it.
 //
-//   * StageExecutor — one worker thread draining a bounded job queue in
-//     strict FIFO order.  Determinism rule: because there is exactly one
-//     worker, every job observes all effects of every earlier job — a
-//     pipelined AnalysisServer produces byte-identical results to the
-//     synchronous one, the only difference being WHEN the work runs.
-//     drain() is the synchronization point: it blocks until the queue is
-//     empty and the in-flight job (if any) has finished.
+//   * StageExecutor — one worker thread popping jobs off a
+//     BoundedQueue<std::function<void()>> in strict FIFO order.
+//     Determinism rule: because there is exactly one worker, every job
+//     observes all effects of every earlier job — a pipelined
+//     AnalysisServer produces byte-identical results to the synchronous
+//     one, the only difference being WHEN the work runs.  drain() is the
+//     synchronization point: it blocks until every submitted job has
+//     finished.  A job that throws is dropped and counted, not rethrown.
 //
 //   * WorkerPool — a persistent pool for INTRA-window fan-out (the sharded
 //     clustering and region-growing passes).  run(count, fn) is a blocking
@@ -33,8 +35,9 @@
 //     contained per task (run() returns the failed count and the owner
 //     degrades, e.g. re-running the window serially).
 //
-// All three are TSan-clean by construction: shared state is guarded by one
-// mutex per object (task claiming aside, which is a plain atomic), and
+// All three are TSan-clean by construction: shared state is guarded by a
+// mutex per object (StageExecutor's tallies by its own, its jobs by its
+// queue's; task claiming aside, which is a plain atomic), and
 // drain()/run()-return establish the happens-before edges that let the
 // coordinating thread read worker-written state without extra locking.
 #pragma once
@@ -193,25 +196,23 @@ class BoundedQueue {
   std::uint64_t handoffs_ = 0;
 };
 
-// One worker thread running submitted jobs in FIFO order.  `max_pending`
-// bounds the number of submitted-but-unfinished jobs EXCLUDING the one
-// currently executing, so an AnalysisServer with pipeline_depth d uses
-// max_pending = d - 1: one window in flight on the worker plus d-1 queued
-// equals d windows admitted past the hand-off.
+// One worker thread running submitted jobs in FIFO order off a
+// BoundedQueue.  `max_pending` is the queue's capacity: it bounds the
+// submitted-but-unstarted jobs, EXCLUDING the one currently executing, so
+// an AnalysisServer with pipeline_depth d uses max_pending = d - 1: one
+// window in flight on the worker plus d-1 queued equals d windows admitted
+// past the hand-off.  The wait accounting (stall / idle / handoff) is the
+// queue's; the executor adds only the job tallies and drain().
 class StageExecutor {
  public:
   explicit StageExecutor(std::size_t max_pending, Clock* clock = nullptr)
-      : max_pending_(max_pending == 0 ? 1 : max_pending),
-        clock_(clock ? clock : real_clock()),
+      : clock_(clock ? clock : real_clock()),
+        queue_(max_pending, clock_),
         worker_([this] { run(); }) {}
 
+  // Closes the queue; the worker runs the backlog, then exits.
   ~StageExecutor() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-      not_empty_.notify_all();
-      not_full_.notify_all();
-    }
+    queue_.close();
     worker_.join();
   }
 
@@ -221,18 +222,17 @@ class StageExecutor {
   // Blocks while the pending queue is full (backpressure); false after
   // close (the job is dropped — only happens during teardown).
   bool submit(std::function<void()> job) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (jobs_.size() >= max_pending_ && !closed_) {
-      const double t0 = clock_->now_seconds();
-      not_full_.wait(lock,
-                     [this] { return jobs_.size() < max_pending_ || closed_; });
-      stall_seconds_ += clock_->now_seconds() - t0;
-      ++stalls_;
+    // Counted before the push: a job the worker has popped but not yet
+    // finished is no longer in the queue, and drain() must still wait for
+    // it.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++unfinished_;
     }
-    if (closed_) return false;
-    jobs_.emplace_back(clock_->now_seconds(), std::move(job));
-    not_empty_.notify_one();
-    return true;
+    if (queue_.push(std::move(job))) return true;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--unfinished_ == 0) idle_.notify_all();
+    return false;
   }
 
   // Blocks until every submitted job has finished.  This is the
@@ -240,39 +240,25 @@ class StageExecutor {
   // worker-thread writes happen-before the caller's subsequent reads.
   void drain() {
     std::unique_lock<std::mutex> lock(mu_);
-    idle_.wait(lock, [this] { return jobs_.empty() && !running_; });
+    idle_.wait(lock, [this] { return unfinished_ == 0; });
   }
 
-  // Queued plus in-flight jobs.
+  // Submitted jobs not yet finished: queued, in flight, or still blocked
+  // in submit() on a full queue.
   std::size_t depth() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return jobs_.size() + (running_ ? 1 : 0);
+    return unfinished_;
   }
   // Cumulative seconds submitters spent blocked on a full queue
   // (producer-block).
-  double stall_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stall_seconds_;
-  }
-  std::uint64_t stalls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stalls_;
-  }
+  double stall_seconds() const { return queue_.stall_seconds(); }
+  std::uint64_t stalls() const { return queue_.stalls(); }
   // Cumulative seconds the worker spent waiting for a job (consumer-idle).
-  double idle_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return idle_seconds_;
-  }
-  std::uint64_t idle_waits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return idle_waits_;
-  }
+  double idle_seconds() const { return queue_.idle_seconds(); }
+  std::uint64_t idle_waits() const { return queue_.idle_waits(); }
   // Cumulative submit→start latency across all executed jobs (how long
   // work sat queued before the worker picked it up).
-  double handoff_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return handoff_seconds_;
-  }
+  double handoff_seconds() const { return queue_.handoff_seconds(); }
   // Cumulative seconds the worker spent executing jobs (stage occupancy
   // numerator; divide by wall time for utilization).
   double busy_seconds() const {
@@ -283,7 +269,11 @@ class StageExecutor {
     std::lock_guard<std::mutex> lock(mu_);
     return jobs_run_;
   }
-  // Jobs whose callable threw; the worker survives and keeps draining.
+  // Jobs whose callable threw.  The worker survives and keeps draining,
+  // but the failed job's work is lost: a pipelined AnalysisServer
+  // (pipeline_depth > 1) drops a throwing window and only this count,
+  // which no production code reads yet, records it.  At depth 1 there is
+  // no executor and the exception reaches process_window's caller.
   std::uint64_t jobs_failed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return jobs_failed_;
@@ -291,60 +281,30 @@ class StageExecutor {
 
  private:
   void run() {
-    for (;;) {
-      std::function<void()> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (jobs_.empty() && !closed_) {
-          const double w0 = clock_->now_seconds();
-          not_empty_.wait(lock, [this] { return !jobs_.empty() || closed_; });
-          idle_seconds_ += clock_->now_seconds() - w0;
-          ++idle_waits_;
-        }
-        if (jobs_.empty()) return;  // closed and drained
-        auto [submitted_at, j] = std::move(jobs_.front());
-        jobs_.pop_front();
-        handoff_seconds_ += clock_->now_seconds() - submitted_at;
-        job = std::move(j);
-        running_ = true;
-        not_full_.notify_one();
-      }
+    while (auto job = queue_.pop()) {
       const double t0 = clock_->now_seconds();
       bool failed = false;
       try {
-        job();
+        (*job)();
       } catch (...) {
-        // A throwing stage must not take the whole pipeline down; the
-        // owner reads jobs_failed() to surface the degradation.
+        // A throwing stage must not take the whole pipeline down; the job
+        // is dropped and counted (see jobs_failed()).
         failed = true;
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        busy_seconds_ += clock_->now_seconds() - t0;
-        ++jobs_run_;
-        if (failed) ++jobs_failed_;
-        running_ = false;
-        if (jobs_.empty()) idle_.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      busy_seconds_ += clock_->now_seconds() - t0;
+      ++jobs_run_;
+      if (failed) ++jobs_failed_;
+      if (--unfinished_ == 0) idle_.notify_all();
     }
   }
 
-  const std::size_t max_pending_;
   Clock* clock_;
-  mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
+  BoundedQueue<std::function<void()>> queue_;
+  mutable std::mutex mu_;  // guards the tallies below
   std::condition_variable idle_;
-  // (submit time, job) so dequeue can account the handoff latency.
-  std::deque<std::pair<double, std::function<void()>>> jobs_;
-  bool closed_ = false;
-  bool running_ = false;
-  double stall_seconds_ = 0.0;
-  double idle_seconds_ = 0.0;
-  double handoff_seconds_ = 0.0;
+  std::size_t unfinished_ = 0;  // submitted, not yet finished or refused
   double busy_seconds_ = 0.0;
-  std::uint64_t stalls_ = 0;
-  std::uint64_t idle_waits_ = 0;
   std::uint64_t jobs_run_ = 0;
   std::uint64_t jobs_failed_ = 0;
   std::thread worker_;  // last member: starts after all state exists

@@ -113,9 +113,9 @@ TEST(BoundedQueue, CloseUnblocksWaitingConsumer) {
 }
 
 TEST(BoundedQueue, ConsumerExceptionLeavesTheQueueUsable) {
-  // A consumer that throws mid-drain (the StageExecutor and TenantSession
-  // loops both catch per-item) must not poison the queue: the remaining
-  // backlog and the close handshake still work.
+  // A consumer that throws mid-drain must not poison the queue: the
+  // remaining backlog and the close handshake still work.  (StageExecutor
+  // catches per job; TenantSession's consumer loop does not catch.)
   util::BoundedQueue<int> q(4);
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.push(i));
   int consumed = 0;

@@ -2,12 +2,15 @@
 // leaf analysis, and root-side merging of heat maps / coverage / findings.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "src/apps/npb.hpp"
 #include "src/apps/solvers.hpp"
 #include "src/core/client.hpp"
 #include "src/core/server_group.hpp"
+#include "src/obs/context.hpp"
 #include "src/sim/runtime.hpp"
 
 namespace vapro::core {
@@ -104,6 +107,33 @@ TEST(ServerGroup, DiagnosisCulpritsSurfaceAtRoot) {
   auto culprits = harness.group.merged_culprits();
   ASSERT_FALSE(culprits.empty());
   EXPECT_EQ(culprits.front(), FactorId::kDramBound);
+}
+
+TEST(ServerGroup, ToolTimeChargesLeafAnalysisOnce) {
+  // Every leaf charges its own window analysis to the shared accountant,
+  // so the group may add only its demux and merged publish on top — not
+  // the time it spends waiting on the leaves.  A slow observer makes the
+  // leaf analysis dominate; counting it twice would push tool time to
+  // about 1.25x the leaves' stage time.  The merged publish is group work
+  // but not under test, so it is off, and the 100 ms observer keeps the
+  // demux small beside the leaves' work in a plain or ASan build.  (Under
+  // TSan the demux alone exceeds the 10% margin; the tsan CI job does not
+  // run this suite.)
+  obs::ObsContext ctx;
+  ServerOptions opts;
+  opts.obs = &ctx;
+  opts.live_detection = false;
+  opts.window_observer = [](const Stg&, const ClusteringResult&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  };
+  sim::Simulator simulator(noisy_config());
+  GroupHarness harness(simulator, 4, opts);
+  apps::NpbParams p;
+  p.iters = 30;
+  simulator.run(apps::cg(p));
+  ASSERT_GE(harness.group.windows_processed(), 3u);
+  const double leaf_seconds = ctx.windows().totals().total_seconds();
+  EXPECT_LT(ctx.overhead().tool_seconds(), 1.1 * leaf_seconds);
 }
 
 TEST(ServerGroup, HeatmapMergeIsExactForDisjointRanks) {
